@@ -10,6 +10,9 @@
 //!   both delay modes: in `ExactPaths` the longest path's delay is split
 //!   across the partitions it visits and each piece is ≤ that partition's
 //!   `d_p`; in `PartitionSum` the objective counts every task delay once),
+//! * an area lower bound on the same objective
+//!   (`sparcs_core::delay::area_bound_ns`: work cannot be packed tighter
+//!   than the device is wide),
 //! * a resource-ceiling lower bound on the partition count — the paper's
 //!   preprocessing `⌈ΣR(t)/R_max⌉` plus a precedence-aware refinement via
 //!   ancestor/descendant closures,
@@ -28,9 +31,10 @@
 //! construction: [`Analysis::static_verdict`] prunes provably-infeasible
 //! candidates before the exact solver is even launched (a pruned spec can
 //! never be one the ILP would have solved), and
-//! [`Analysis::objective_lb_ns`] seeds the branch-and-bound's
-//! `SolveOptions::root_bound` so the search can stop the moment an
-//! incumbent meets the bound.
+//! [`Analysis::objective_lb_ns`] plus the reconfiguration ledger is a
+//! certified latency floor a degraded answer can be served against. The
+//! objective bound is the same delay-sum bound the exact partitioner
+//! applies as its branch-and-bound root bound.
 //!
 //! Audit-style independence: the critical-path bound is computed **twice**
 //! — once through `sparcs_dfg::algo::critical_path` and once through this
@@ -56,6 +60,11 @@ pub mod rules {
     /// critical path of the whole graph (paper Figure 4's measure applied
     /// to the unpartitioned DAG).
     pub const CRITICAL_PATH_BOUND: &str = "critical-path-bound";
+    /// Lower bound on the ILP objective `Σ d_p` in ns from packing: every
+    /// partition's delay is at least its slowest task's, and Eq. 6 caps
+    /// what one partition holds, so `Σ d_p ≥ max_k ⌈Σ_t r_{t,k}·δ_t /
+    /// R_k⌉` (`sparcs_core::delay::area_bound_ns`).
+    pub const AREA_BOUND: &str = "area-bound";
     /// Lower bound on the temporal partition count: the paper's
     /// preprocessing `⌈ΣR(t)/R_max⌉` sharpened by the precedence-closure
     /// refinement (for every task `t`, partitions `0..=p(t)` must hold
@@ -168,8 +177,9 @@ pub struct Analysis {
     pub facts: Vec<Fact>,
     /// All lints, in emission order.
     pub lints: Vec<Lint>,
-    /// Lower bound on the ILP objective `Σ d_p` in ns (0 for an empty
-    /// graph).
+    /// Lower bound on the ILP objective `Σ d_p` in ns: the larger of the
+    /// [`rules::CRITICAL_PATH_BOUND`] and [`rules::AREA_BOUND`] facts (0
+    /// for an empty graph).
     pub objective_lb_ns: u64,
     /// Lower bound on the number of temporal partitions (0 for an empty
     /// graph). Meaningless when [`Analysis::schedulable`] is false.
@@ -348,27 +358,11 @@ fn own_critical_path_ns(g: &TaskGraph, order: &[usize]) -> u64 {
     dist.into_iter().max().unwrap_or(0)
 }
 
-/// Component-wise `⌈demand / capacity⌉` (≥ 1 for nonzero demand sets).
-/// `None` when some component has demand but zero capacity.
-fn bins(demand: sparcs_dfg::Resources, cap: sparcs_dfg::Resources) -> Option<u64> {
-    let mut worst = 1u64;
-    for ((_, d), (_, c)) in demand.components().zip(cap.components()) {
-        match (d, c) {
-            (0, _) => {}
-            (_, 0) => return None,
-            (d, c) => worst = worst.max(d.div_ceil(c)),
-        }
-    }
-    Some(worst)
-}
-
 /// The graph-only piece of [`analyze`]: the certified critical-path lower
 /// bound on the ILP objective `Σ d_p`, in ns. Double-computed like the
 /// full analysis (own Kahn + `dfg::algo`), returning the smaller — and
-/// therefore sound-regardless — value. This is the bound
-/// `FlowSession::explore` injects as the branch-and-bound's
-/// `SolveOptions::root_bound`; it needs no architecture, so one call
-/// covers every board of an exploration.
+/// therefore sound-regardless — value. It needs no architecture, so one
+/// call covers every board.
 ///
 /// # Errors
 ///
@@ -419,11 +413,11 @@ pub fn analyze(
     if let Some(lint) = crosscheck_critical_path(own_cp, ref_cp) {
         lints.push(lint);
     }
-    let objective_lb_ns = own_cp.min(ref_cp);
+    let critical_path_ns = own_cp.min(ref_cp);
     let path_names: Vec<&str> = cp_tasks.iter().map(|&t| g.task(t).name.as_str()).collect();
     facts.push(Fact {
         rule: rules::CRITICAL_PATH_BOUND,
-        bound: objective_lb_ns,
+        bound: critical_path_ns,
         witness: format!(
             "delay-weighted critical path [{}] recomputed independently ({own_cp} ns) and \
              via dfg::algo ({ref_cp} ns); every schedule's Σ d_p is at least this in both \
@@ -431,6 +425,22 @@ pub fn analyze(
             path_names.join(" -> ")
         ),
     });
+
+    // --- Area objective bound. ---------------------------------------------
+    let (area_ns, kind) = sparcs_core::delay::area_bound_ns(g, &arch.resources);
+    facts.push(Fact {
+        rule: rules::AREA_BOUND,
+        bound: area_ns,
+        witness: match kind {
+            Some(kind) => format!(
+                "ceil(sum_t R(t)·delay(t) / R_max) over {kind}, the tightest resource kind: \
+                 each partition's delay is at least its slowest task's and its tasks fit \
+                 R_max, so every schedule's Σ d_p is at least this"
+            ),
+            None => "no task demands a resource kind the device has".to_string(),
+        },
+    });
+    let objective_lb_ns = critical_path_ns.max(area_ns);
 
     // --- Schedulability + partition-count bound. ---------------------------
     let mut schedulable = true;
@@ -450,7 +460,7 @@ pub fn analyze(
         }
     }
     let total: sparcs_dfg::Resources = g.tasks().map(|(_, t)| t.resources).sum();
-    let n0 = bins(total, arch.resources);
+    let n0 = total.min_bins(&arch.resources);
     if n0.is_none() && g.task_count() > 0 && schedulable {
         // Demand on a zero-capacity component that no single task trips
         // (possible only with zero-area tasks summing to demand — defensive).
@@ -486,8 +496,8 @@ pub fn analyze(
                 .map(|d| g.task(d).resources)
                 .sum();
             let (Some(up), Some(down)) = (
-                bins(anc + me, arch.resources),
-                bins(desc + me, arch.resources),
+                (anc + me).min_bins(&arch.resources),
+                (desc + me).min_bins(&arch.resources),
             ) else {
                 continue;
             };

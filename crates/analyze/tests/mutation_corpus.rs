@@ -119,6 +119,34 @@ fn critical_path_bound_tracks_a_delay_mutation() {
 }
 
 #[test]
+fn area_bound_tracks_a_clb_mutation() {
+    // Two independent 100 ns tasks on a 1000-CLB device: the critical path
+    // is 100 ns, but the work cannot be packed tighter than the device is
+    // wide — ⌈(600·100 + 600·100) / 1000⌉ = 120 ns.
+    let packed = |a_clbs| {
+        let mut g = TaskGraph::new("packed");
+        g.add_task("a", Resources::clbs(a_clbs), 100, 1);
+        g.add_task("b", Resources::clbs(600), 100, 1);
+        g
+    };
+    let board = arch(1_000, 65_536);
+    let honest = analyze_net(&packed(600), &board);
+    assert_eq!(honest.fact(rules::AREA_BOUND).map(|f| f.bound), Some(120));
+    assert_eq!(honest.objective_lb_ns, 120);
+    // Enlarge one task: the area fact and the objective bound follow it,
+    // while the critical-path fact stays put.
+    let mutated = analyze_net(&packed(900), &board);
+    assert_eq!(mutated.fact(rules::AREA_BOUND).map(|f| f.bound), Some(150));
+    assert_eq!(mutated.objective_lb_ns, 150, "⌈(900·100 + 600·100) / 1000⌉");
+    for an in [&honest, &mutated] {
+        assert_eq!(
+            an.fact(rules::CRITICAL_PATH_BOUND).map(|f| f.bound),
+            Some(100)
+        );
+    }
+}
+
+#[test]
 fn forged_reference_is_convicted_under_bound_divergence() {
     // The two critical-path computations are independent; a forged
     // reference is exactly the defect the cross-check exists to catch.

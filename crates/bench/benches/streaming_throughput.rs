@@ -4,15 +4,14 @@
 //! The streamed lane pulls a synthetic workload through the §4 DCT design
 //! one `k`-computation batch at a time and only counts/digests the output
 //! (no allocation proportional to `I`); the materialized lane is the
-//! classic `run_*` wrapper over the same workload. The wrapper asserts
+//! `run_slice` wrapper over the same workload. The bench asserts
 //! bit-exact agreement between the two up front, then reports both lanes'
 //! throughput (primary-stream words per second).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sparcs_bench::experiment;
 use sparcs_rtr::{
-    run_idh, CountingSink, FdhSequencer, IdhSequencer, InputSource, Sequencer, SyntheticSource,
-    VecSink,
+    CountingSink, FdhSequencer, IdhSequencer, InputSource, Sequencer, SyntheticSource, VecSink,
 };
 use std::hint::black_box;
 
@@ -31,7 +30,7 @@ fn bench(c: &mut Criterion) {
     let streamed_report = idh.run(&mut source, &mut counted).unwrap();
     let mut materialized = vec![0i32; (computations * in_w) as usize];
     SyntheticSource::new(computations, in_w).read(&mut materialized);
-    let (out, wrapped_report) = run_idh(&exp.arch, &design, &materialized).unwrap();
+    let (out, wrapped_report) = idh.run_slice(&materialized).unwrap();
     assert_eq!(streamed_report, wrapped_report);
     assert_eq!(counted.digest(), CountingSink::digest_of(&out));
 
@@ -48,11 +47,8 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("idh_materialized_16384", |b| {
         b.iter(|| {
-            run_idh(
-                black_box(&exp.arch),
-                black_box(&design),
-                black_box(&materialized),
-            )
+            IdhSequencer::new(black_box(&exp.arch), black_box(&design))
+                .run_slice(black_box(&materialized))
         })
     });
     let fdh = FdhSequencer::new(&exp.arch, &design);

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sparcs::casestudy::DctExperiment;
 use sparcs_bench::{experiment, render_table, table1};
 use sparcs_jpeg::Image;
-use sparcs_rtr::run_fdh;
+use sparcs_rtr::{FdhSequencer, Sequencer};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -30,7 +30,10 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1");
     group.sample_size(20);
     group.bench_function("fdh_simulate_1024_blocks", |b| {
-        b.iter(|| run_fdh(black_box(&exp.arch), black_box(&design), black_box(&stream)))
+        b.iter(|| {
+            FdhSequencer::new(black_box(&exp.arch), black_box(&design))
+                .run_slice(black_box(&stream))
+        })
     });
     group.finish();
 }

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sparcs::casestudy::DctExperiment;
 use sparcs_bench::{experiment, render_table, table2};
 use sparcs_jpeg::Image;
-use sparcs_rtr::run_idh;
+use sparcs_rtr::{IdhSequencer, Sequencer};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -34,7 +34,10 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("table2");
     group.sample_size(20);
     group.bench_function("idh_simulate_1024_blocks", |b| {
-        b.iter(|| run_idh(black_box(&exp.arch), black_box(&design), black_box(&stream)))
+        b.iter(|| {
+            IdhSequencer::new(black_box(&exp.arch), black_box(&design))
+                .run_slice(black_box(&stream))
+        })
     });
     group.finish();
 }

@@ -48,8 +48,8 @@ struct SolveRecord {
     /// layer hands the branch-and-bound for free.
     root_bound_gap_at_node_zero: f64,
     /// Same gap measured from the Lagrangian dual bound (critical path
-    /// vs. dualized resource area) — the bound `IlpStrategy` actually
-    /// injects. Never larger than `root_bound_gap_at_node_zero`.
+    /// vs. dualized resource area) — the root bound `IlpPartitioner`
+    /// applies. Never larger than `root_bound_gap_at_node_zero`.
     lagrangian_root_bound_gap: f64,
 }
 
@@ -58,15 +58,15 @@ struct SolveRecord {
 #[derive(Debug, Serialize)]
 struct StaticAnalysisRecord {
     /// Certified lower bound on `Σ d_p` (ns): the delay-weighted critical
-    /// path, injected as the solver's root bound.
+    /// path.
     critical_path_lb_ns: u64,
     /// Certified lower bound on the partition count (`N₀` + closure).
     partition_count_lb: u32,
     /// Certified lower bound on boundary memory words.
     memory_lb_words: u64,
-    /// The Lagrangian dual bound on `Σ d_p` (ns): max over the
-    /// critical-path fact and each dualized resource dimension's area
-    /// fact. `≥ critical_path_lb_ns` by construction.
+    /// The Lagrangian dual bound on `Σ d_p` (ns): the analyzer's
+    /// `objective_lb_ns`, the max of the critical-path and area facts.
+    /// `≥ critical_path_lb_ns` by construction.
     lagrangian_lb_ns: u64,
     /// Which fact binds the Lagrangian bound ("critical-path" or a
     /// resource dimension name).
@@ -184,13 +184,16 @@ fn main() {
         sparcs_core::partitioning::MemoryMode::Net,
     )
     .expect("the DCT graph is a DAG");
-    let cp_lb = analysis.objective_lb_ns;
-    let lagrange =
-        sparcs_multilevel::lower_bound(&dct.graph, &arch).expect("the DCT graph is a DAG");
-    assert!(
-        lagrange.bound_ns >= cp_lb,
-        "the Lagrangian bound must dominate the critical-path bound"
-    );
+    let cp_lb = analysis
+        .fact(sparcs_analyze::rules::CRITICAL_PATH_BOUND)
+        .map_or(0, |f| f.bound);
+    // The solver's root bound: the larger of the critical-path and area
+    // facts.
+    let lagrangian_lb = analysis.objective_lb_ns;
+    let binding = match sparcs_core::delay::area_bound_ns(&dct.graph, &arch.resources) {
+        (area, Some(kind)) if area > cp_lb => kind,
+        _ => "critical-path",
+    };
     let static_prunes: Vec<u32> = (1..lo)
         .filter(|&n| analysis.static_verdict(Some(n)).is_some())
         .collect();
@@ -198,13 +201,13 @@ fn main() {
         critical_path_lb_ns: cp_lb,
         partition_count_lb: analysis.partition_count_lb,
         memory_lb_words: analysis.memory_lb_words,
-        lagrangian_lb_ns: lagrange.bound_ns,
-        lagrangian_binding: lagrange.binding,
+        lagrangian_lb_ns: lagrangian_lb,
+        lagrangian_binding: binding,
         static_prunes: static_prunes.clone(),
     };
     println!(
-        "static: Σd_p >= {cp_lb} ns (lagrangian {} ns, {} binding), N >= {}, bounds {:?} pruned without solving",
-        lagrange.bound_ns, lagrange.binding, analysis.partition_count_lb, static_prunes
+        "static: Σd_p >= {cp_lb} ns (lagrangian {lagrangian_lb} ns, {binding} binding), N >= {}, bounds {:?} pruned without solving",
+        analysis.partition_count_lb, static_prunes
     );
 
     let mut records = Vec::new();
@@ -248,7 +251,7 @@ fn main() {
                         },
                         lagrangian_root_bound_gap: if sol.objective > 0.0 {
                             // cast-ok: the certified bound is exact below 2^53
-                            (sol.objective - lagrange.bound_ns as f64) / sol.objective
+                            (sol.objective - lagrangian_lb as f64) / sol.objective
                         } else {
                             0.0
                         },

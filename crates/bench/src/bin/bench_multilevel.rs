@@ -129,10 +129,16 @@ fn scale_row(nodes: usize) -> ScaleRow {
     let latency_ns =
         sparcs::core::delay::total_latency_ns(&g, &out.partitioning, arch.reconfig_time_ns)
             .expect("the generated graph is a DAG");
-    let lagrangian_tightening = if out.lagrange.bound_ns > 0 {
+    let critical_path_ns =
+        sparcs::analyze::critical_path_lb_ns(&g).expect("the generated graph is a DAG");
+    let (area_ns, area_kind) = sparcs::core::delay::area_bound_ns(&g, &arch.resources);
+    let (bound_ns, binding) = match area_kind {
+        Some(kind) if area_ns > critical_path_ns => (area_ns, kind),
+        _ => (critical_path_ns, "critical-path"),
+    };
+    let lagrangian_tightening = if bound_ns > 0 {
         // cast-ok: bounds are far below 2^53 ns
-        (out.lagrange.bound_ns - out.lagrange.critical_path_ns) as f64
-            / out.lagrange.bound_ns as f64
+        (bound_ns - critical_path_ns) as f64 / bound_ns as f64
     } else {
         0.0
     };
@@ -145,10 +151,10 @@ fn scale_row(nodes: usize) -> ScaleRow {
         latency_ns,
         initial_solver: out.initial.name(),
         winner: out.winner,
-        lagrangian_lb_ns: out.lagrange.bound_ns,
-        critical_path_lb_ns: out.lagrange.critical_path_ns,
+        lagrangian_lb_ns: bound_ns,
+        critical_path_lb_ns: critical_path_ns,
         lagrangian_tightening,
-        binding: out.lagrange.binding,
+        binding,
     };
     println!(
         "[ML] {nodes:>6} nodes: {:.0} ms, {} levels -> {} coarse tasks, {} partitions, {} seed, lagrangian +{:.1}% over cp ({})",

@@ -54,7 +54,7 @@ pub fn experiment() -> DctExperiment {
 }
 
 /// Analytic total time of the **static** design for `blocks` computations —
-/// identical to `sparcs_rtr::run_static`'s accounting.
+/// identical to `sparcs_rtr::StaticSequencer`'s accounting.
 pub fn static_total_ns(arch: &Architecture, blocks: u64) -> u128 {
     let delay = u128::from(paper::STATIC_DELAY_NS);
     let dm = u128::from(arch.transfer_ns_per_word);
@@ -68,7 +68,8 @@ pub fn static_total_ns(arch: &Architecture, blocks: u64) -> u128 {
 }
 
 /// Analytic total time of the **FDH** strategy — identical to
-/// `sparcs_rtr::run_fdh`'s accounting (serialized transfers, whole blocks).
+/// `sparcs_rtr::FdhSequencer`'s accounting (serialized transfers, whole
+/// blocks).
 pub fn fdh_total_ns(fission: &FissionAnalysis, arch: &Architecture, blocks: u64) -> u128 {
     let i_sw = u128::from(fission.software_loop_count(blocks));
     let k = u128::from(fission.k);
@@ -86,7 +87,7 @@ pub fn fdh_total_ns(fission: &FissionAnalysis, arch: &Architecture, blocks: u64)
 
 /// Analytic total time of the **IDH** strategy with double-buffered
 /// transfers — delegates to the fission analysis (identical to
-/// `sparcs_rtr::run_idh`).
+/// `sparcs_rtr::IdhSequencer`).
 pub fn idh_total_ns(fission: &FissionAnalysis, blocks: u64) -> u128 {
     u128::from(fission.idh_total_time_overlapped_ns(blocks))
 }

@@ -1,4 +1,5 @@
-//! Partition delay — the paper's Figure 4 measure.
+//! Partition delay — the paper's Figure 4 measure — and the certified
+//! lower bound on its sum.
 //!
 //! *"The delay of design execution on a partition will be the maximum delay
 //! among all the paths of the task graph mapped to that partition."* For a
@@ -10,9 +11,32 @@
 //! then take the longest weighted root→leaf path by dynamic programming —
 //! exact because weights are non-negative and every task lies on some
 //! root→leaf path.
+//!
+//! # The delay-sum lower bound
+//!
+//! [`delay_sum_bound_ns`] bounds the ILP objective `Σ_p d_p` from below
+//! for *every* feasible partitioning, before anything is solved. Two facts
+//! hold for every feasible design:
+//!
+//! 1. **Path fact.** For any root→leaf path `P`, the masked delays satisfy
+//!    `Σ_p d_p ≥ Σ_p Σ_{t∈P∩p} δ_t = Σ_{t∈P} δ_t`, so `Σ_p d_p` is at least
+//!    the graph's critical-path delay.
+//! 2. **Area fact** ([`area_bound_ns`]). `d_p ≥ max_{t∈p} δ_t` (every task
+//!    lies on some root→leaf path). Fix a resource kind `k` with capacity
+//!    `R_k > 0`. Because Eq. 6 forces `Σ_{t∈p} r_{t,k} ≤ R_k`, the weights
+//!    `r_{t,k}/R_k` form a sub-probability distribution over each
+//!    partition, hence `d_p ≥ Σ_{t∈p} (r_{t,k}/R_k)·δ_t`, and summing over
+//!    partitions: `Σ_p d_p ≥ (Σ_t r_{t,k}·δ_t)/R_k`. The objective is an
+//!    integer number of nanoseconds, so the ceiling is still a bound.
+//!
+//! The area fact is the Lagrangian dual of Eq. 6 restricted to the price
+//! family `μ_t = (r_{t,k}/R_k)·δ_t`: the dual function is linear in the
+//! multipliers, so its maximum sits at a single resource kind, and the
+//! critical path is the zero-multiplier vertex. Both facts also bound the
+//! `PartitionSum` delay rows, which over-approximate `d_p`.
 
 use crate::partitioning::Partitioning;
-use sparcs_dfg::{GraphError, TaskGraph};
+use sparcs_dfg::{algo, GraphError, Resources, TaskGraph};
 
 /// Per-partition delays `d_p` in nanoseconds (index = partition id).
 ///
@@ -64,11 +88,53 @@ pub fn total_latency_ns(
     Ok(part.partition_count() as u64 * reconfig_time_ns + d)
 }
 
+/// The area fact (see the module docs): `max_k ⌈Σ_t r_{t,k}·δ_t / R_k⌉`
+/// in ns over the resource kinds the device has, with the kind that
+/// attains it (`None` when no task demands any of them).
+///
+/// Kinds with zero capacity are skipped: a task demanding one makes the
+/// instance infeasible outright, which is the solver's diagnosis to make,
+/// not the bound's.
+pub fn area_bound_ns(g: &TaskGraph, capacity: &Resources) -> (u64, Option<&'static str>) {
+    // Σ_t r_{t,k}·δ_t per kind, in u128: each product fits, and the task
+    // count is far below the remaining headroom.
+    let mut weighted = [0u128; 4];
+    for (_, t) in g.tasks() {
+        for (w, (_, r)) in weighted.iter_mut().zip(t.resources.components()) {
+            *w += u128::from(r) * u128::from(t.delay_ns);
+        }
+    }
+    let mut best = (0, None);
+    for ((kind, cap), w) in capacity.components().zip(weighted) {
+        if cap == 0 {
+            continue;
+        }
+        let bound = u64::try_from(w.div_ceil(u128::from(cap))).unwrap_or(u64::MAX);
+        if bound > best.0 {
+            best = (bound, Some(kind));
+        }
+    }
+    best
+}
+
+/// The certified lower bound on `Σ_p d_p` for every feasible partitioning
+/// of `g` on a device with `capacity`: the larger of the critical path and
+/// [`area_bound_ns`]. [`crate::IlpPartitioner`] applies it as the
+/// branch-and-bound's root bound on every solve.
+///
+/// # Errors
+///
+/// Returns [`GraphError::Cycle`] if the graph is not a DAG.
+pub fn delay_sum_bound_ns(g: &TaskGraph, capacity: &Resources) -> Result<u64, GraphError> {
+    let critical_path_ns = algo::critical_path(g)?.map_or(0, |p| p.delay_ns);
+    Ok(critical_path_ns.max(area_bound_ns(g, capacity).0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::partitioning::PartitionId;
-    use sparcs_dfg::{gen, paths, Resources, TaskGraph};
+    use sparcs_dfg::{gen, paths};
 
     /// Figure 4 reproduction: partition 1 delay = max(350, 400, 150) = 400,
     /// partition 2 delay = 300.
@@ -144,5 +210,59 @@ mod tests {
         g.add_edge(b, c, 1).unwrap();
         let part = Partitioning::new(vec![PartitionId(0), PartitionId(1), PartitionId(0)]);
         assert_eq!(partition_delays(&g, &part).unwrap(), vec![40, 20]);
+    }
+
+    /// `(clbs, delay)` pairs in a dependency chain.
+    fn chain(tasks: &[(u64, u64)]) -> TaskGraph {
+        let mut g = TaskGraph::new("chain");
+        let mut prev = None;
+        for (i, &(clbs, delay)) in tasks.iter().enumerate() {
+            let t = g.add_task(format!("t{i}"), Resources::clbs(clbs), delay, 1);
+            if let Some(p) = prev {
+                g.add_edge(p, t, 1).unwrap();
+            }
+            prev = Some(t);
+        }
+        g
+    }
+
+    #[test]
+    fn critical_path_dominates_when_the_device_is_roomy() {
+        let g = chain(&[(10, 100), (10, 200), (10, 300)]);
+        let roomy = Resources::clbs(10_000);
+        assert_eq!(area_bound_ns(&g, &roomy), (1, Some("clbs")));
+        assert_eq!(delay_sum_bound_ns(&g, &roomy).unwrap(), 600);
+    }
+
+    #[test]
+    fn area_dominates_on_a_packed_device() {
+        // Two parallel tasks, each 600 of 1000 CLBs, delay 100: critical
+        // path is 100, but they cannot share a partition, so Σ d_p ≥ 200.
+        // Area bound: ⌈(600·100 + 600·100)/1000⌉ = 120 — sound (≤ 200)
+        // and strictly better than the path bound.
+        let mut g = TaskGraph::new("parallel");
+        g.add_task("a", Resources::clbs(600), 100, 1);
+        g.add_task("b", Resources::clbs(600), 100, 1);
+        let packed = Resources::clbs(1_000);
+        assert_eq!(area_bound_ns(&g, &packed), (120, Some("clbs")));
+        assert_eq!(delay_sum_bound_ns(&g, &packed).unwrap(), 120);
+    }
+
+    #[test]
+    fn zero_capacity_dimensions_are_skipped() {
+        // flip_flops demand with zero capacity must not divide by zero or
+        // poison the bound.
+        let mut g = TaskGraph::new("ff");
+        g.add_task("a", Resources::new(10, 64, 0, 0), 100, 1);
+        let device = Resources::clbs(100);
+        assert_eq!(area_bound_ns(&g, &device), (10, Some("clbs")));
+        assert_eq!(delay_sum_bound_ns(&g, &device).unwrap(), 100);
+    }
+
+    #[test]
+    fn empty_graph_bounds_at_zero() {
+        let g = TaskGraph::new("empty");
+        assert_eq!(area_bound_ns(&g, &Resources::clbs(100)), (0, None));
+        assert_eq!(delay_sum_bound_ns(&g, &Resources::clbs(100)).unwrap(), 0);
     }
 }

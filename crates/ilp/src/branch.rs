@@ -143,8 +143,8 @@ pub struct SolveOptions {
     pub cancel: Option<CancelToken>,
     /// A **proven** bound on the optimum in the model's orientation (a
     /// lower bound for minimization, an upper bound for maximization) —
-    /// e.g. the static critical-path bound `sparcs_analyze` certifies
-    /// before the solve. Two effects: the search stops with
+    /// e.g. the delay-sum bound the temporal partitioner certifies before
+    /// the solve. Two effects: the search stops with
     /// [`Status::Optimal`] the moment an incumbent's objective meets the
     /// bound (no exhaustion needed — with a warm incumbent already at the
     /// bound the tree is never opened and `nodes == 0`), and
@@ -173,9 +173,8 @@ impl Default for SolveOptions {
 
 impl SolveOptions {
     /// Installs `bound` as the root bound unless an at-least-as-tight one
-    /// is already set — the plumbing every static-bound producer (the
-    /// analyzer's certified critical path, the Lagrangian relaxation)
-    /// goes through, so independently derived bounds *compose*: the
+    /// is already set, so independently derived bounds (a caller's own,
+    /// the temporal partitioner's delay-sum bound) *compose*: the
     /// branch-and-bound always sees the tightest proven one.
     ///
     /// `bound` must be a proven *lower* bound on a minimization

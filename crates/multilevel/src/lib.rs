@@ -10,27 +10,26 @@
 //!
 //! The pipeline, per [`partition_multilevel`]:
 //!
-//! 1. **Bound** — [`lagrange::lower_bound`] computes a closed-form
-//!    Lagrangian lower bound on `Σ_p d_p` (critical path vs. dualized
-//!    resource area), used to prune the coarsest solve and to certify
-//!    optimality of the final design when it is tight.
-//! 2. **Coarsen** — [`coarsen::coarsen`] contracts heavy data edges under
+//! 1. **Coarsen** — [`coarsen::coarsen`] contracts heavy data edges under
 //!    a precedence-safe eligibility rule into a [`coarsen::Tower`] of
 //!    validated coarse graphs with total projection maps.
-//! 3. **Initial solve** — the exact ILP partitions the coarsest graph
+//! 2. **Initial solve** — the exact ILP partitions the coarsest graph
 //!    when its variable count fits a budget; otherwise the memory-aware
 //!    list heuristic seeds the tower.
-//! 4. **Uncoarsen** — the assignment is projected down one level at a
+//! 3. **Uncoarsen** — the assignment is projected down one level at a
 //!    time and refined with `sparcs_core::refine::kl_refine_gains`, whose
 //!    violation-tolerant gain key also *repairs* projections whose
 //!    conservative coarse memory accounting overshot.
-//! 5. **Guard** — the result is compared against plain `list` and
+//! 4. **Guard** — the result is compared against plain `list` and
 //!    memory-aware `list` on the original graph and the best feasible
 //!    candidate wins, so multilevel is never worse than the heuristics it
 //!    is meant to beat.
+//! 5. **Certificate** — the winner is proven optimal when it meets the
+//!    latency floor `⌈ΣR(t)/R_max⌉·CT +`
+//!    [`sparcs_core::delay::delay_sum_bound_ns`], or when the exact solve
+//!    ran on the uncoarsened graph and won.
 
 pub mod coarsen;
-pub mod lagrange;
 
 use sparcs_core::ilp::{PartitionError, PartitionOptions};
 use sparcs_core::list::{partition_list, partition_list_memory_aware};
@@ -41,7 +40,6 @@ use sparcs_dfg::{GraphError, TaskGraph, TaskId};
 use sparcs_estimate::Architecture;
 
 pub use coarsen::{coarsen, CoarsenConfig, Tower};
-pub use lagrange::{lower_bound, LagrangeBound};
 use sparcs_core::partitioning::Violation;
 
 /// Configuration of [`partition_multilevel`]. Every field influences the
@@ -160,11 +158,9 @@ pub struct MultilevelOutcome {
     pub coarsest_tasks: usize,
     /// Which solver seeded the coarsest level.
     pub initial: InitialSolver,
-    /// The Lagrangian lower bound computed on the *original* graph.
-    pub lagrange: LagrangeBound,
     /// True when the final design provably attains the global optimum:
     /// it uses the minimum possible partition count and its delay sum
-    /// meets the Lagrangian bound exactly.
+    /// meets the delay-sum bound exactly.
     pub proven_optimal: bool,
     /// True when the search budget expired or a cancel was observed —
     /// the result is feasible but refinement may have stopped early.
@@ -177,8 +173,7 @@ pub struct MultilevelOutcome {
 /// Runs the full coarsen / solve / uncoarsen pipeline on `g`.
 ///
 /// `ilp_opts` configures the coarsest-level exact solve (budget, jobs,
-/// warm starts); its `root_bound` is tightened with the coarse graph's
-/// Lagrangian bound before solving. The `search` context bounds the whole
+/// warm starts). The `search` context bounds the whole
 /// pipeline cooperatively — on stop, the best feasible design found so
 /// far is returned with `cancelled = true`.
 ///
@@ -201,14 +196,12 @@ pub fn partition_multilevel(
             return Err(MultilevelError::TaskTooLarge(id));
         }
     }
-    let lagrange = lagrange::lower_bound(g, arch)?;
     if g.task_count() == 0 {
         return Ok(MultilevelOutcome {
             partitioning: Partitioning::new(Vec::new()),
             levels: 1,
             coarsest_tasks: 0,
             initial: InitialSolver::List,
-            lagrange,
             proven_optimal: true,
             cancelled: false,
             winner: "multilevel",
@@ -245,11 +238,6 @@ pub fn partition_multilevel(
     let mut exact_on_original = false;
     let (mut assignment, initial) = if vars <= cfg.exact_var_limit && !search.stop_requested() {
         let mut opts = ilp_opts.clone();
-        // The model's objective is Σ_p d_p (N·CT is constant per solve in
-        // the relaxation loop), so the comparable root bound is the plain
-        // delay-sum bound, not the full-latency floor.
-        let coarse_bound = lagrange::lower_bound(coarsest, arch)?;
-        opts.solve.tighten_root_bound(coarse_bound.bound_ns as f64);
         // A deterministic budget (unlike a wall-clock deadline it cannot
         // make results machine-dependent): past it the solver hands back
         // its incumbent unproven, and the guard still ranks it honestly.
@@ -327,10 +315,12 @@ pub fn partition_multilevel(
     }
 
     // 5. Optimality certificate: the latency of any feasible design is at
-    // least `min_bins(total) · CT + lagrange`; meeting both terms exactly
+    // least `min_bins(total) · CT + Σ d_p bound`; meeting it exactly
     // proves global optimality.
     let graph_min_bins = g.total_resources().min_bins(&arch.resources).unwrap_or(1);
-    let floor = lagrange.objective_bound_ns(graph_min_bins, arch.reconfig_time_ns);
+    let floor = graph_min_bins
+        .saturating_mul(arch.reconfig_time_ns)
+        .saturating_add(sparcs_core::delay::delay_sum_bound_ns(g, &arch.resources)?);
     let proven_optimal =
         !cancelled && (sum_key == floor || (exact_on_original && winner == "multilevel"));
 
@@ -339,7 +329,6 @@ pub fn partition_multilevel(
         levels: tower.levels(),
         coarsest_tasks: tower.coarsest().task_count(),
         initial,
-        lagrange,
         proven_optimal,
         cancelled,
         winner,

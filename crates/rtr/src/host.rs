@@ -31,10 +31,9 @@
 //! the host nanoseconds of each pass (surfaced per sequencer in
 //! `BENCH_streaming.json`, with `words_per_sec`).
 //!
-//! The classic slice-in/vector-out entry points ([`run_static`],
-//! [`run_fdh`], [`run_idh`]) are thin wrappers over these drivers
-//! ([`SliceSource`] in, [`VecSink`] out) and report bit-identical outputs
-//! and timings.
+//! [`Sequencer::run_slice`] is the slice-in/vector-out convenience over
+//! these drivers ([`SliceSource`] in, [`VecSink`] out), with bit-identical
+//! outputs and timings.
 //!
 //! ## Timing conventions
 //!
@@ -190,9 +189,8 @@ pub trait Sequencer {
         sink: &mut dyn OutputSink,
     ) -> Result<(TimeReport, PhaseProfile), HostError>;
 
-    /// Convenience: runs a materialized slice and collects the outputs —
-    /// the classic `run_*` signature, as a provided method over the
-    /// streaming driver.
+    /// Convenience: runs a materialized slice and collects the outputs, as
+    /// a provided method over the streaming driver.
     ///
     /// # Errors
     ///
@@ -770,49 +768,6 @@ impl Sequencer for IdhSequencer<'_> {
     }
 }
 
-/// Runs the static baseline over `inputs` (flattened computations of
-/// `design.input_words` each), returning the outputs and the time report —
-/// a thin slice-to-slice wrapper over [`StaticSequencer`].
-///
-/// # Errors
-///
-/// See [`HostError`].
-pub fn run_static(
-    arch: &Architecture,
-    design: &StaticDesign,
-    inputs: &[i32],
-) -> Result<(Vec<i32>, TimeReport), HostError> {
-    StaticSequencer::new(arch, design).run_slice(inputs)
-}
-
-/// Runs the **FDH** sequencing over `inputs` — a thin slice-to-slice
-/// wrapper over [`FdhSequencer`].
-///
-/// # Errors
-///
-/// See [`HostError`].
-pub fn run_fdh(
-    arch: &Architecture,
-    design: &RtrDesign,
-    inputs: &[i32],
-) -> Result<(Vec<i32>, TimeReport), HostError> {
-    FdhSequencer::new(arch, design).run_slice(inputs)
-}
-
-/// Runs the **IDH** sequencing over `inputs` — a thin slice-to-slice
-/// wrapper over [`IdhSequencer`].
-///
-/// # Errors
-///
-/// See [`HostError`].
-pub fn run_idh(
-    arch: &Architecture,
-    design: &RtrDesign,
-    inputs: &[i32],
-) -> Result<(Vec<i32>, TimeReport), HostError> {
-    IdhSequencer::new(arch, design).run_slice(inputs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -855,9 +810,9 @@ mod tests {
         let d = two_stage(4);
         let s = static_equiv();
         let xs = inputs(10);
-        let (o_static, _) = run_static(&arch(), &s, &xs).unwrap();
-        let (o_fdh, _) = run_fdh(&arch(), &d, &xs).unwrap();
-        let (o_idh, _) = run_idh(&arch(), &d, &xs).unwrap();
+        let (o_static, _) = StaticSequencer::new(&arch(), &s).run_slice(&xs).unwrap();
+        let (o_fdh, _) = FdhSequencer::new(&arch(), &d).run_slice(&xs).unwrap();
+        let (o_idh, _) = IdhSequencer::new(&arch(), &d).run_slice(&xs).unwrap();
         assert_eq!(o_static, o_fdh);
         assert_eq!(o_static, o_idh);
         assert_eq!(o_static.len(), 20);
@@ -872,10 +827,10 @@ mod tests {
         // 5 computations with k = 4 → 2 batches, 3 garbage slots dropped.
         let d = two_stage(4);
         let xs = inputs(5);
-        let (o, r) = run_fdh(&arch(), &d, &xs).unwrap();
+        let (o, r) = FdhSequencer::new(&arch(), &d).run_slice(&xs).unwrap();
         assert_eq!(o.len(), 10);
         assert_eq!(r.computations, 5);
-        let (o2, _) = run_idh(&arch(), &d, &xs).unwrap();
+        let (o2, _) = IdhSequencer::new(&arch(), &d).run_slice(&xs).unwrap();
         assert_eq!(o, o2);
     }
 
@@ -883,8 +838,8 @@ mod tests {
     fn fdh_reconfigures_per_batch_idh_once_per_partition() {
         let d = two_stage(2);
         let xs = inputs(8); // 4 batches
-        let (_, fdh) = run_fdh(&arch(), &d, &xs).unwrap();
-        let (_, idh) = run_idh(&arch(), &d, &xs).unwrap();
+        let (_, fdh) = FdhSequencer::new(&arch(), &d).run_slice(&xs).unwrap();
+        let (_, idh) = IdhSequencer::new(&arch(), &d).run_slice(&xs).unwrap();
         assert_eq!(fdh.reconfigurations, 4 * 2);
         assert_eq!(idh.reconfigurations, 2);
         assert!(idh.total_ns < fdh.total_ns);
@@ -894,7 +849,7 @@ mod tests {
     fn fdh_timing_matches_paper_formula() {
         let d = two_stage(4);
         let xs = inputs(8); // 2 batches
-        let (_, r) = run_fdh(&arch(), &d, &xs).unwrap();
+        let (_, r) = FdhSequencer::new(&arch(), &d).run_slice(&xs).unwrap();
         // N·CT·I_sw = 2 × 100 ms × 2.
         assert_eq!(r.reconfig_ns, 2 * 2 * 100_000_000);
         // Compute: k·I_sw per stage.
@@ -907,7 +862,7 @@ mod tests {
     fn idh_timing_matches_overlapped_model() {
         let d = two_stage(4);
         let xs = inputs(8); // 2 batches
-        let (_, r) = run_idh(&arch(), &d, &xs).unwrap();
+        let (_, r) = IdhSequencer::new(&arch(), &d).run_slice(&xs).unwrap();
         // Per partition over 2 batches: half + 2·max(C, half) + half (each
         // boundary batch overlaps exactly one half-transfer), plus N·CT.
         let dm = 25u128;
@@ -941,12 +896,12 @@ mod tests {
         a.transfer_ns_per_word = 10_000;
         let d = two_stage(2);
         let xs = inputs(4); // 2 batches of k = 2
-        let (o, r) = run_idh(&a, &d, &xs).unwrap();
+        let (o, r) = IdhSequencer::new(&a, &d).run_slice(&xs).unwrap();
         assert_eq!(r.total_ns, 200_640_000);
         assert_eq!(r.compute_ns, 6_000);
         assert_eq!(r.exposed_transfer_ns, 634_000);
         // The fix changes accounting only; the data is untouched.
-        assert_eq!(o, run_fdh(&a, &d, &xs).unwrap().0);
+        assert_eq!(o, FdhSequencer::new(&a, &d).run_slice(&xs).unwrap().0);
     }
 
     #[test]
@@ -961,8 +916,8 @@ mod tests {
         });
         let d = RtrDesign::new(vec![s1, s2], 2, vec![2, 4, 3, 5], 2);
         let xs = vec![10, 20, 30, 40];
-        let (o_fdh, _) = run_fdh(&arch(), &d, &xs).unwrap();
-        let (o_idh, _) = run_idh(&arch(), &d, &xs).unwrap();
+        let (o_fdh, _) = FdhSequencer::new(&arch(), &d).run_slice(&xs).unwrap();
+        let (o_idh, _) = IdhSequencer::new(&arch(), &d).run_slice(&xs).unwrap();
         assert_eq!(o_fdh, vec![20, 11, 40, 21, 60, 31, 80, 41]);
         assert_eq!(o_fdh, o_idh);
     }
@@ -971,7 +926,7 @@ mod tests {
     fn memory_budget_enforced() {
         let d = two_stage(65_536); // 65536 × 4 words ≫ 64K
         assert!(matches!(
-            run_fdh(&arch(), &d, &inputs(4)),
+            FdhSequencer::new(&arch(), &d).run_slice(&inputs(4)),
             Err(HostError::MemoryBudget { .. })
         ));
     }
@@ -980,14 +935,16 @@ mod tests {
     fn input_shape_enforced() {
         let d = two_stage(4);
         assert_eq!(
-            run_fdh(&arch(), &d, &[1, 2, 3]).unwrap_err(),
+            FdhSequencer::new(&arch(), &d)
+                .run_slice(&[1, 2, 3])
+                .unwrap_err(),
             HostError::InputShape {
                 expected_multiple: 2
             }
         );
         let s = static_equiv();
         assert!(matches!(
-            run_static(&arch(), &s, &[1]),
+            StaticSequencer::new(&arch(), &s).run_slice(&[1]),
             Err(HostError::InputShape { .. })
         ));
     }
@@ -996,7 +953,7 @@ mod tests {
     fn static_hides_streaming_behind_compute() {
         let s = static_equiv(); // 2000 ns ≫ 4 words × 25 ns
         let xs = inputs(100);
-        let (_, r) = run_static(&arch(), &s, &xs).unwrap();
+        let (_, r) = StaticSequencer::new(&arch(), &s).run_slice(&xs).unwrap();
         // total = CT + I·delay + prologue(2×25) + epilogue(2×25).
         assert_eq!(r.total_ns, 100_000_000 + 100 * 2_000 + 50 + 50);
     }
@@ -1006,7 +963,7 @@ mod tests {
         let mut a = arch();
         a.transfer_ns_per_word = 10_000; // 4 words × 10 µs ≫ 2 µs compute
         let s = static_equiv();
-        let (_, r) = run_static(&a, &s, &inputs(10)).unwrap();
+        let (_, r) = StaticSequencer::new(&a, &s).run_slice(&inputs(10)).unwrap();
         // Per computation the step is the transfer (40 µs), not compute.
         let expected = 100_000_000u128 + 10 * 40_000 + 20_000 + 20_000;
         assert_eq!(r.total_ns, expected);

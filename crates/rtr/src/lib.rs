@@ -23,9 +23,8 @@
 //! Host execution is *streaming*: the [`host::Sequencer`] drivers pull one
 //! batch of `k` computations at a time from an [`stream::InputSource`] and
 //! push results into an [`stream::OutputSink`], so host memory is bounded
-//! by the batch geometry instead of the workload size. The classic
-//! [`run_static`]/[`run_fdh`]/[`run_idh`] functions are thin slice-to-slice
-//! wrappers over those drivers.
+//! by the batch geometry instead of the workload size;
+//! [`host::Sequencer::run_slice`] runs a materialized slice through them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,9 +37,6 @@ pub mod stream;
 
 pub use board::{Board, BoardError, MemoryBank};
 pub use design::{BatchKernel, Configuration, Kernel, RtrDesign, StaticDesign, MAX_BATCH_LANES};
-pub use host::{
-    run_fdh, run_idh, run_static, FdhSequencer, HostError, IdhSequencer, PhaseProfile, Sequencer,
-    StaticSequencer,
-};
+pub use host::{FdhSequencer, HostError, IdhSequencer, PhaseProfile, Sequencer, StaticSequencer};
 pub use report::TimeReport;
 pub use stream::{CountingSink, InputSource, OutputSink, SliceSource, SyntheticSource, VecSink};

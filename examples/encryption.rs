@@ -15,7 +15,7 @@ use sparcs::estimate::estimator::Estimator;
 use sparcs::estimate::opgraph::{OpGraph, OpKind};
 use sparcs::estimate::{Architecture, ComponentLibrary};
 use sparcs::flow::FlowSession;
-use sparcs::rtr::{run_fdh, run_idh, Configuration, RtrDesign};
+use sparcs::rtr::{Configuration, FdhSequencer, IdhSequencer, RtrDesign, Sequencer};
 
 const KEY: [u32; 4] = [0x0123_4567, 0x89AB_CDEF, 0xFEDC_BA98, 0x7654_3210];
 const DELTA: u32 = 0x9E37_79B9;
@@ -131,8 +131,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plaintext: Vec<i32> = (0..10_000i32)
         .map(|v| v.wrapping_mul(2_654_435_761u32 as i32))
         .collect();
-    let (ct_fdh, t_fdh) = run_fdh(&arch, &rtr, &plaintext)?;
-    let (ct_idh, t_idh) = run_idh(&arch, &rtr, &plaintext)?;
+    let (ct_fdh, t_fdh) = FdhSequencer::new(&arch, &rtr).run_slice(&plaintext)?;
+    let (ct_idh, t_idh) = IdhSequencer::new(&arch, &rtr).run_slice(&plaintext)?;
     assert_eq!(ct_fdh, ct_idh);
     for (i, pair) in plaintext.chunks(2).enumerate() {
         let (c0, c1) = xtea_rounds(pair[0] as u32, pair[1] as u32, 0, 32);

@@ -9,7 +9,7 @@
 
 use sparcs::casestudy::DctExperiment;
 use sparcs::jpeg::{pipeline, Image};
-use sparcs::rtr::{run_fdh, run_idh, run_static};
+use sparcs::rtr::{FdhSequencer, IdhSequencer, Sequencer, StaticSequencer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exp = DctExperiment::paper()?;
@@ -32,9 +32,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = exp.rtr_design();
     let stat = exp.static_design();
 
-    let (z_static, t_static) = run_static(&exp.arch, &stat, &stream)?;
-    let (z_fdh, t_fdh) = run_fdh(&exp.arch, &design, &stream)?;
-    let (z_idh, t_idh) = run_idh(&exp.arch, &design, &stream)?;
+    let (z_static, t_static) = StaticSequencer::new(&exp.arch, &stat).run_slice(&stream)?;
+    let (z_fdh, t_fdh) = FdhSequencer::new(&exp.arch, &design).run_slice(&stream)?;
+    let (z_idh, t_idh) = IdhSequencer::new(&exp.arch, &design).run_slice(&stream)?;
 
     assert_eq!(z_static, z_fdh, "FDH must be bit-exact");
     assert_eq!(z_static, z_idh, "IDH must be bit-exact");

@@ -18,9 +18,7 @@
 //!   paper's exact ILP ([`IlpStrategy`]), the §4 list strawman
 //!   ([`ListStrategy`]), seeded refinement chains (`list+kl`,
 //!   `list+anneal`) and racing portfolios all plug in behind one
-//!   interface. Strategies that neither budget nor cancel implement the
-//!   one-shot [`SimpleStrategy`] surface instead and are shimmed in
-//!   automatically.
+//!   interface.
 //! * [`PartitionedFlow`] → [`AnalyzedFlow`] carry the design through the
 //!   fission analysis to host-code generation, so a caller can stop at
 //!   whichever stage it needs.
@@ -54,6 +52,7 @@
 
 use crate::cache::{CacheKey, PartitionCache};
 use scoped_threadpool::scoped_map;
+use sparcs_analyze::Analysis;
 use sparcs_core::delay::partition_delays;
 use sparcs_core::fission::{BlockRounding, FissionAnalysis, FissionError};
 use sparcs_core::ilp::SolveStats;
@@ -287,10 +286,8 @@ type BuiltinStrategy = (Box<dyn PartitionStrategy>, Option<u32>);
 /// Strategies are *search-aware*: [`Self::partition`] takes a [`SearchCtx`]
 /// carrying a wall-clock budget and a cancellation token, and cooperative
 /// implementations (the ILP's branch-and-bound, the refinement passes)
-/// return their best design so far when stopped instead of dying. A
-/// strategy with nothing to interrupt should implement the one-shot
-/// [`SimpleStrategy`] surface instead — a blanket shim lifts it into this
-/// trait with [`SearchCtx::unbounded`] semantics.
+/// return their best design so far when stopped instead of dying; a
+/// one-shot strategy with nothing to interrupt simply ignores the context.
 pub trait PartitionStrategy: Send + Sync {
     /// The strategy's *spec*: the full rendering of its compose chain
     /// (`"ilp"`, `"list+kl"`, `"portfolio"`, …), used in reports,
@@ -346,57 +343,6 @@ pub trait PartitionStrategy: Send + Sync {
     /// memory and schedulability bounds can.
     fn partition_cap(&self) -> Option<u32> {
         None
-    }
-}
-
-/// The legacy one-shot strategy surface: `partition(&ctx)` with no search
-/// context, exactly the pre-algebra `PartitionStrategy` shape. Existing
-/// implementations keep working by implementing this trait — a blanket
-/// shim lifts every `SimpleStrategy` into [`PartitionStrategy`], ignoring
-/// the search context (the strategy behaves as if it were always handed
-/// [`SearchCtx::unbounded`], which is sound for strategies that finish in
-/// one shot and have nothing to interrupt).
-pub trait SimpleStrategy: Send + Sync {
-    /// Short stable name (used in reports and exploration tables).
-    fn name(&self) -> &'static str;
-
-    /// Partitions the context's graph for its architecture.
-    ///
-    /// # Errors
-    ///
-    /// Strategy-specific; see [`FlowError`].
-    fn partition(&self, ctx: &DesignContext) -> Result<PartitionedDesign, FlowError>;
-
-    /// See [`PartitionStrategy::config_key`].
-    fn config_key(&self) -> Option<String> {
-        None
-    }
-
-    /// See [`PartitionStrategy::memory_mode`].
-    fn memory_mode(&self) -> MemoryMode {
-        MemoryMode::Net
-    }
-}
-
-impl<T: SimpleStrategy + ?Sized> PartitionStrategy for T {
-    fn name(&self) -> String {
-        SimpleStrategy::name(self).into()
-    }
-
-    fn partition(
-        &self,
-        ctx: &DesignContext,
-        _search: &SearchCtx,
-    ) -> Result<PartitionedDesign, FlowError> {
-        SimpleStrategy::partition(self, ctx)
-    }
-
-    fn config_key(&self) -> Option<String> {
-        SimpleStrategy::config_key(self)
-    }
-
-    fn memory_mode(&self) -> MemoryMode {
-        SimpleStrategy::memory_mode(self)
     }
 }
 
@@ -461,18 +407,7 @@ impl PartitionStrategy for IlpStrategy {
         ctx: &DesignContext,
         search: &SearchCtx,
     ) -> Result<PartitionedDesign, FlowError> {
-        let mut options = self.options.clone();
-        // Architecture in hand, the Lagrangian dual bound (critical path
-        // vs. dualized resource area — never looser than the analyzer's
-        // pure critical-path bound) can prune the branch-and-bound from
-        // the root. A pure function of `(graph, arch)`, so cache keys and
-        // rankings stay deterministic; an explicitly pinned tighter bound
-        // survives untouched.
-        let lb = sparcs_multilevel::lower_bound(&ctx.graph, &ctx.arch)?;
-        // u64 ns → f64 objective space; delay sums stay far below 2^53 ns,
-        // so the conversion is exact.
-        options.solve.tighten_root_bound(lb.bound_ns as f64);
-        Ok(IlpPartitioner::new(ctx.arch.clone(), options)
+        Ok(IlpPartitioner::new(ctx.arch.clone(), self.options.clone())
             .partition_with_search(&ctx.graph, search)?)
     }
 
@@ -512,15 +447,17 @@ impl ListStrategy {
     }
 }
 
-// The heuristic finishes in one shot with nothing to interrupt: it
-// implements the legacy surface and rides the blanket shim — the in-tree
-// proof that pre-algebra strategies keep working unchanged.
-impl SimpleStrategy for ListStrategy {
-    fn name(&self) -> &'static str {
-        "list"
+impl PartitionStrategy for ListStrategy {
+    fn name(&self) -> String {
+        "list".into()
     }
 
-    fn partition(&self, ctx: &DesignContext) -> Result<PartitionedDesign, FlowError> {
+    // One shot with nothing to interrupt: the search context is unused.
+    fn partition(
+        &self,
+        ctx: &DesignContext,
+        _search: &SearchCtx,
+    ) -> Result<PartitionedDesign, FlowError> {
         let partitioning = partition_list(&ctx.graph, &ctx.arch)?;
         design_from_partitioning(ctx, partitioning)
     }
@@ -749,7 +686,25 @@ impl FlowSession {
                 })
                 .collect()
         };
-        let builtins = space.builtin_strategies(&self.ctx.graph)?;
+
+        // One deadline for the whole exploration, fixed up front so every
+        // worker races the same clock. `partition_cached` bypasses the
+        // cache automatically for bounded searches.
+        let search = match space.budget {
+            Some(budget) => SearchCtx::with_timeout(budget),
+            None => SearchCtx::unbounded(),
+        };
+
+        // The static pre-pass, once per board: its bounds depend on the
+        // graph, the board and the validation memory mode, never on the
+        // strategy, so every spec on a board reads the same analysis.
+        let analyses = scoped_map(space.jobs, &contexts, |ctx| {
+            sparcs_analyze::analyze(&ctx.graph, &ctx.arch, space.memory_mode)
+        })
+        .into_iter()
+        .collect::<Result<Vec<Analysis>, GraphError>>()?;
+
+        let builtins = space.builtin_strategies()?;
         let strategies: Vec<(&dyn PartitionStrategy, Option<u32>)> = builtins
             .iter()
             .map(|(boxed, cap)| (boxed.as_ref(), *cap))
@@ -760,23 +715,25 @@ impl FlowSession {
                     .map(|boxed| (boxed.as_ref(), None)),
             )
             .collect();
-        let specs: Vec<(&DesignContext, &dyn PartitionStrategy, Option<u32>)> = contexts
+        let specs: Vec<(
+            &DesignContext,
+            &Analysis,
+            &dyn PartitionStrategy,
+            Option<u32>,
+        )> = contexts
             .iter()
-            .flat_map(|ctx| strategies.iter().map(move |&(s, cap)| (ctx, s, cap)))
+            .zip(&analyses)
+            .flat_map(|(ctx, analysis)| {
+                strategies
+                    .iter()
+                    .map(move |&(s, cap)| (ctx, analysis, s, cap))
+            })
             .collect();
-
-        // One deadline for the whole exploration, fixed up front so every
-        // worker races the same clock. `partition_cached` bypasses the
-        // cache automatically for bounded searches.
-        let search = match space.budget {
-            Some(budget) => SearchCtx::with_timeout(budget),
-            None => SearchCtx::unbounded(),
-        };
 
         // `scoped_map` hands every spec its own result slot, so outcomes
         // are ordered by spec position, never by thread scheduling.
-        let outcomes = scoped_map(space.jobs, &specs, |&(ctx, strategy, cap)| {
-            evaluate_spec(ctx, strategy, cap, space, &search)
+        let outcomes = scoped_map(space.jobs, &specs, |&(ctx, analysis, strategy, cap)| {
+            evaluate_spec(ctx, analysis, strategy, cap, space, &search)
         });
 
         let mut coverage = ExploreCoverage {
@@ -931,6 +888,7 @@ struct SpecOutcome {
 /// everything downstream shares it through [`Arc`] instead of cloning.
 fn evaluate_spec(
     ctx: &DesignContext,
+    analysis: &Analysis,
     strategy: &dyn PartitionStrategy,
     max_partitions: Option<u32>,
     space: &ExploreSpace,
@@ -938,13 +896,12 @@ fn evaluate_spec(
 ) -> Result<SpecOutcome, FlowError> {
     let mut outcome = SpecOutcome::default();
     // Static pre-pass: a solver is never launched on a spec the analyzer
-    // proves dead. The analysis runs under the *validation* memory mode —
+    // proves dead. The analysis ran under the *validation* memory mode —
     // the gate every ranked candidate must clear — so a memory or
     // schedulability conviction means no design of any strategy could have
     // survived, and a partition-count conviction (judged against this
     // spec's cap) means the exact solver could only have proven
     // infeasibility the slow way.
-    let analysis = sparcs_analyze::analyze(&ctx.graph, &ctx.arch, space.memory_mode)?;
     let cap = max_partitions.or(strategy.partition_cap());
     if let Some(rule) = analysis.static_verdict(cap) {
         let detail = match rule {
@@ -1465,25 +1422,13 @@ impl ExploreSpace {
     }
 
     /// The built-in strategies this space enables, each with the partition
-    /// cap it reports under. Exact (ILP-backed) candidates get the
-    /// certified [`sparcs_analyze::critical_path_lb_ns`] bound of `graph`
-    /// injected as their branch-and-bound root bound — the search proves
-    /// optimality the moment an incumbent meets it — unless the space's
-    /// shared options already pinned one. The bound is a pure function of
-    /// the graph, so cache keys and rankings stay deterministic.
+    /// cap it reports under.
     ///
     /// # Errors
     ///
     /// [`FlowError::Spec`] when an entry of [`Self::specs`] does not
-    /// parse; [`FlowError::Graph`] when `graph` does not validate.
-    fn builtin_strategies(&self, graph: &TaskGraph) -> Result<Vec<BuiltinStrategy>, FlowError> {
-        let mut ilp_options = self.ilp_options.clone();
-        if ilp_options.solve.root_bound.is_none() {
-            let lb = sparcs_analyze::critical_path_lb_ns(graph)?;
-            // cast-ok: u64 ns → f64 objective space; partition delays are
-            // far below 2^53 ns (~104 days), so the conversion is exact.
-            ilp_options.solve.root_bound = Some(lb as f64);
-        }
+    /// parse.
+    fn builtin_strategies(&self) -> Result<Vec<BuiltinStrategy>, FlowError> {
         let mut builtins: Vec<BuiltinStrategy> = Vec::new();
         if self.include_ilp {
             let caps: &[Option<u32>] = if self.max_partitions.is_empty() {
@@ -1492,7 +1437,7 @@ impl ExploreSpace {
                 &self.max_partitions
             };
             for &cap in caps {
-                let mut options = ilp_options.clone();
+                let mut options = self.ilp_options.clone();
                 // Report the *effective* cap (axis value, else the shared
                 // options cap) so candidates never look uncapped when the
                 // solver was in fact bounded.
@@ -1506,7 +1451,7 @@ impl ExploreSpace {
             builtins.push((Box::new(ListStrategy::new()), None));
         }
         for spec in &self.specs {
-            builtins.push((crate::strategy::parse_spec(spec, &ilp_options)?, None));
+            builtins.push((crate::strategy::parse_spec(spec, &self.ilp_options)?, None));
         }
         Ok(builtins)
     }
@@ -1928,15 +1873,16 @@ mod tests {
         assert!(line.contains("no feasible partitioning"), "{line}");
     }
 
-    // The legacy one-shot surface: these two compile unchanged against
-    // `SimpleStrategy` and ride the blanket shim into every search-aware
-    // consumer (`partition_with`, `extra_strategies`, …).
     struct BrokenStrategy;
-    impl SimpleStrategy for BrokenStrategy {
-        fn name(&self) -> &'static str {
-            "broken"
+    impl PartitionStrategy for BrokenStrategy {
+        fn name(&self) -> String {
+            "broken".into()
         }
-        fn partition(&self, _ctx: &DesignContext) -> Result<PartitionedDesign, FlowError> {
+        fn partition(
+            &self,
+            _ctx: &DesignContext,
+            _search: &SearchCtx,
+        ) -> Result<PartitionedDesign, FlowError> {
             // A cycle report from a validated DAG can only mean a bug.
             Err(FlowError::Graph(GraphError::Cycle(sparcs_dfg::TaskId(0))))
         }
@@ -1955,11 +1901,15 @@ mod tests {
     /// Piles every task into partition 0 — resource-infeasible on fig4's
     /// board, so exploration must reject it at validation.
     struct OnePartitionStrategy;
-    impl SimpleStrategy for OnePartitionStrategy {
-        fn name(&self) -> &'static str {
-            "one-partition"
+    impl PartitionStrategy for OnePartitionStrategy {
+        fn name(&self) -> String {
+            "one-partition".into()
         }
-        fn partition(&self, ctx: &DesignContext) -> Result<PartitionedDesign, FlowError> {
+        fn partition(
+            &self,
+            ctx: &DesignContext,
+            _search: &SearchCtx,
+        ) -> Result<PartitionedDesign, FlowError> {
             let n = ctx.graph.task_count();
             let partitioning =
                 Partitioning::new(vec![sparcs_core::partitioning::PartitionId(0); n]);

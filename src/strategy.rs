@@ -33,7 +33,7 @@
 
 use crate::flow::{
     default_explore_jobs, design_from_partitioning, DesignContext, FlowError, IlpStrategy,
-    ListStrategy, PartitionStrategy, SimpleStrategy,
+    ListStrategy, PartitionStrategy,
 };
 use scoped_threadpool::scoped_map;
 use sparcs_core::list::partition_list_memory_aware;
@@ -81,23 +81,18 @@ pub trait Refinement: Send + Sync {
 /// The Kernighan–Lin-style move/swap refinement pass
 /// ([`sparcs_core::refine::kl_refine`]) behind the [`Refinement`] trait.
 ///
-/// With `gain_sequence` set (the default), the steepest-descent pass is
-/// followed by the true gain-sequence chain search
-/// ([`sparcs_core::refine::kl_refine_gains`]): descent stops at the first
-/// round with no strictly improving single move, and the chain search
-/// then walks *through* zero-gain plateaus via tentative move sequences
-/// with best-prefix commit — the fix for the `kl_gap_closed ≈ 0` plateau
-/// the DCT packing exposed. `gain_sequence: false` is the pre-fix
-/// steepest-descent-only behavior, kept as the executable reference the
-/// proptests compare against.
+/// The steepest-descent pass is followed by the true gain-sequence chain
+/// search ([`sparcs_core::refine::kl_refine_gains`]): descent stops at the
+/// first round with no strictly improving single move, and the chain
+/// search then walks *through* zero-gain plateaus via tentative move
+/// sequences with best-prefix commit — the fix for the `kl_gap_closed ≈ 0`
+/// plateau the DCT packing exposed.
 #[derive(Debug, Clone)]
 pub struct KlRefiner {
     /// Maximum steepest-descent rounds (each applies the single best
     /// improving move or swap).
     pub max_rounds: usize,
-    /// Follow descent with the gain-sequence chain search.
-    pub gain_sequence: bool,
-    /// Gain-sequence knobs (chain length, scan caps) when enabled.
+    /// Gain-sequence knobs (chain length, scan caps).
     pub gain_config: GainConfig,
     /// Memory mode used when checking candidate feasibility.
     pub memory_mode: MemoryMode,
@@ -107,7 +102,6 @@ impl Default for KlRefiner {
     fn default() -> Self {
         KlRefiner {
             max_rounds: 64,
-            gain_sequence: true,
             gain_config: GainConfig::default(),
             memory_mode: MemoryMode::Net,
         }
@@ -137,9 +131,6 @@ impl Refinement for KlRefiner {
             self.max_rounds,
             search,
         )?;
-        if !self.gain_sequence {
-            return Ok(descended);
-        }
         Ok(kl_refine_gains(
             &ctx.graph,
             &ctx.arch,
@@ -341,12 +332,17 @@ pub struct MemoryAwareListStrategy {
     pub memory_mode: MemoryMode,
 }
 
-impl SimpleStrategy for MemoryAwareListStrategy {
-    fn name(&self) -> &'static str {
-        "memlist"
+impl PartitionStrategy for MemoryAwareListStrategy {
+    fn name(&self) -> String {
+        "memlist".into()
     }
 
-    fn partition(&self, ctx: &DesignContext) -> Result<PartitionedDesign, FlowError> {
+    // One shot with nothing to interrupt: the search context is unused.
+    fn partition(
+        &self,
+        ctx: &DesignContext,
+        _search: &SearchCtx,
+    ) -> Result<PartitionedDesign, FlowError> {
         let partitioning = partition_list_memory_aware(&ctx.graph, &ctx.arch, self.memory_mode)?;
         design_from_partitioning(ctx, partitioning)
     }

@@ -6,7 +6,8 @@ use sparcs::core::{IlpPartitioner, PartitionError, PartitionOptions};
 use sparcs::dfg::{Resources, TaskGraph};
 use sparcs::estimate::Architecture;
 use sparcs::rtr::{
-    run_fdh, run_idh, run_static, Configuration, HostError, RtrDesign, StaticDesign,
+    Configuration, FdhSequencer, HostError, IdhSequencer, RtrDesign, Sequencer, StaticDesign,
+    StaticSequencer,
 };
 
 fn arch(clbs: u64, mem: u64) -> Architecture {
@@ -76,7 +77,7 @@ fn sequencers_reject_bad_input_shapes_and_budgets() {
     let d = RtrDesign::linear(vec![c], 8);
     let dev = arch(1_600, 10); // 8 × 6-word blocks > 10 words
     assert!(matches!(
-        run_fdh(&dev, &d, &[1, 2, 3]),
+        FdhSequencer::new(&dev, &d).run_slice(&[1, 2, 3]),
         Err(HostError::MemoryBudget {
             needed: 48,
             available: 10
@@ -84,14 +85,16 @@ fn sequencers_reject_bad_input_shapes_and_budgets() {
     ));
     let dev = arch(1_600, 1_000);
     assert_eq!(
-        run_idh(&dev, &d, &[1, 2, 3, 4]).unwrap_err(),
+        IdhSequencer::new(&dev, &d)
+            .run_slice(&[1, 2, 3, 4])
+            .unwrap_err(),
         HostError::InputShape {
             expected_multiple: 3
         }
     );
     let s = StaticDesign::new(100, 4, 4, |x, o| o.copy_from_slice(x));
     assert!(matches!(
-        run_static(&arch(1_600, 6), &s, &[0; 8]),
+        StaticSequencer::new(&arch(1_600, 6), &s).run_slice(&[0; 8]),
         Err(HostError::MemoryBudget { .. })
     ));
 }
@@ -103,7 +106,9 @@ fn empty_input_streams_are_ok() {
     let dev = arch(1_600, 1_000);
     // Zero computations still execute one (padded) batch — the hardware
     // loop always runs k slots; no outputs are read back.
-    let (out, report) = run_fdh(&dev, &d, &[]).expect("empty stream runs");
+    let (out, report) = FdhSequencer::new(&dev, &d)
+        .run_slice(&[])
+        .expect("empty stream runs");
     assert!(out.is_empty());
     assert_eq!(report.computations, 0);
 }

@@ -5,7 +5,7 @@
 use sparcs::casestudy::DctExperiment;
 use sparcs::estimate::paper;
 use sparcs::jpeg::{fixed, Image};
-use sparcs::rtr::{run_fdh, run_idh, run_static};
+use sparcs::rtr::{FdhSequencer, IdhSequencer, Sequencer, StaticSequencer};
 use std::sync::OnceLock;
 
 fn exp() -> &'static DctExperiment {
@@ -30,9 +30,15 @@ fn all_three_designs_are_bit_exact_on_an_image() {
     let design = exp().rtr_design();
     let stat = exp().static_design();
 
-    let (z_static, _) = run_static(&exp().arch, &stat, &stream).expect("static runs");
-    let (z_fdh, _) = run_fdh(&exp().arch, &design, &stream).expect("fdh runs");
-    let (z_idh, _) = run_idh(&exp().arch, &design, &stream).expect("idh runs");
+    let (z_static, _) = StaticSequencer::new(&exp().arch, &stat)
+        .run_slice(&stream)
+        .expect("static runs");
+    let (z_fdh, _) = FdhSequencer::new(&exp().arch, &design)
+        .run_slice(&stream)
+        .expect("fdh runs");
+    let (z_idh, _) = IdhSequencer::new(&exp().arch, &design)
+        .run_slice(&stream)
+        .expect("idh runs");
     let reference = reference_coefficients(&img);
 
     assert_eq!(z_static, reference, "static kernel is the fixed-point DCT");
@@ -45,7 +51,9 @@ fn simulator_matches_analytic_idh_model() {
     let img = Image::gradient(256, 128); // 2048 blocks = exactly one batch
     let stream = DctExperiment::input_stream(&img);
     let design = exp().rtr_design();
-    let (_, t) = run_idh(&exp().arch, &design, &stream).expect("idh runs");
+    let (_, t) = IdhSequencer::new(&exp().arch, &design)
+        .run_slice(&stream)
+        .expect("idh runs");
     let analytic = exp().fission.idh_total_time_overlapped_ns(2_048);
     assert_eq!(t.total_ns, u128::from(analytic));
 }
@@ -55,7 +63,9 @@ fn simulator_matches_analytic_fdh_model() {
     let img = Image::gradient(256, 128); // one batch
     let stream = DctExperiment::input_stream(&img);
     let design = exp().rtr_design();
-    let (_, t) = run_fdh(&exp().arch, &design, &stream).expect("fdh runs");
+    let (_, t) = FdhSequencer::new(&exp().arch, &design)
+        .run_slice(&stream)
+        .expect("fdh runs");
     // One batch: k·block_1 in + 3 CT + k·Σd + k·16 out.
     let k = u128::from(exp().fission.k);
     let dm = u128::from(exp().arch.transfer_ns_per_word);
@@ -71,7 +81,9 @@ fn simulator_matches_analytic_static_model() {
     let img = Image::gradient(64, 64); // 256 blocks
     let stream = DctExperiment::input_stream(&img);
     let stat = exp().static_design();
-    let (_, t) = run_static(&exp().arch, &stat, &stream).expect("static runs");
+    let (_, t) = StaticSequencer::new(&exp().arch, &stat)
+        .run_slice(&stream)
+        .expect("static runs");
     let dm = u128::from(exp().arch.transfer_ns_per_word);
     // 32 words × 25 ns = 800 ns hides under the 16 µs compute.
     let expected = u128::from(exp().arch.reconfig_time_ns)
@@ -87,16 +99,26 @@ fn idh_beats_fdh_and_loses_to_static_only_on_small_images() {
     let stat = exp().static_design();
     // Small image: static wins (reconfiguration cannot amortize).
     let small = DctExperiment::input_stream(&Image::gradient(64, 32)); // 128 blocks
-    let (_, t_small_idh) = run_idh(&exp().arch, &design, &small).expect("idh");
-    let (_, t_small_static) = run_static(&exp().arch, &stat, &small).expect("static");
+    let (_, t_small_idh) = IdhSequencer::new(&exp().arch, &design)
+        .run_slice(&small)
+        .expect("idh");
+    let (_, t_small_static) = StaticSequencer::new(&exp().arch, &stat)
+        .run_slice(&small)
+        .expect("static");
     assert!(t_small_static.total_ns < t_small_idh.total_ns);
-    let (_, t_small_fdh) = run_fdh(&exp().arch, &design, &small).expect("fdh");
+    let (_, t_small_fdh) = FdhSequencer::new(&exp().arch, &design)
+        .run_slice(&small)
+        .expect("fdh");
     assert!(t_small_static.total_ns < t_small_fdh.total_ns);
     // On a single batch FDH and IDH reconfigure equally often; IDH pulls
     // ahead as soon as a second batch would trigger another FDH cascade.
     let medium = DctExperiment::input_stream(&Image::gradient(256, 256)); // 4096 blocks
-    let (_, t_med_idh) = run_idh(&exp().arch, &design, &medium).expect("idh");
-    let (_, t_med_fdh) = run_fdh(&exp().arch, &design, &medium).expect("fdh");
+    let (_, t_med_idh) = IdhSequencer::new(&exp().arch, &design)
+        .run_slice(&medium)
+        .expect("idh");
+    let (_, t_med_fdh) = FdhSequencer::new(&exp().arch, &design)
+        .run_slice(&medium)
+        .expect("fdh");
     assert!(t_med_idh.total_ns < t_med_fdh.total_ns);
 }
 
@@ -107,7 +129,9 @@ fn partial_batches_match_reference_too() {
     let img = Image::checkerboard(80, 60); // 300 blocks
     let stream = DctExperiment::input_stream(&img);
     let design = exp().rtr_design();
-    let (z, report) = run_fdh(&exp().arch, &design, &stream).expect("fdh runs");
+    let (z, report) = FdhSequencer::new(&exp().arch, &design)
+        .run_slice(&stream)
+        .expect("fdh runs");
     assert_eq!(z, reference_coefficients(&img));
     assert_eq!(report.computations, 300);
 }
@@ -135,8 +159,12 @@ fn xc6000_experiment_improves_even_modest_images() {
     let stat = exp6.static_design();
     let img = Image::gradient(256, 128); // 2048 blocks — small for 100 ms CT
     let stream = DctExperiment::input_stream(&img);
-    let (_, t_idh) = run_idh(&exp6.arch, &design, &stream).expect("idh");
-    let (_, t_static) = run_static(&exp6.arch, &stat, &stream).expect("static");
+    let (_, t_idh) = IdhSequencer::new(&exp6.arch, &design)
+        .run_slice(&stream)
+        .expect("idh");
+    let (_, t_static) = StaticSequencer::new(&exp6.arch, &stat)
+        .run_slice(&stream)
+        .expect("static");
     assert!(
         t_idh.total_ns < t_static.total_ns,
         "fast reconfiguration flips the small-image verdict"

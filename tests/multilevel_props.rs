@@ -8,19 +8,21 @@
 //! * the coarsening tower's projection maps are total and surjective at
 //!   every level, and every coarse graph preserves precedence (validates
 //!   as a DAG);
-//! * the Lagrangian lower bound never exceeds the exact optimum on
-//!   instances the exact solver can finish (soundness oracle), and is
-//!   never looser than the analyzer's pure critical-path bound.
+//! * the delay-sum lower bound (critical path vs. resource area) never
+//!   exceeds the exact optimum on instances the exact solver can finish
+//!   (soundness oracle), and is never looser than the analyzer's pure
+//!   critical-path bound.
 
 use proptest::prelude::*;
 use sparcs::audit::Severity;
+use sparcs::core::delay::delay_sum_bound_ns;
 use sparcs::core::partitioning::MemoryMode;
 use sparcs::core::PartitionOptions;
 use sparcs::dfg::gen::{layered, LayeredConfig};
 use sparcs::dfg::{Resources, TaskGraph};
 use sparcs::estimate::Architecture;
 use sparcs::flow::FlowSession;
-use sparcs::multilevel::{coarsen, lower_bound, CoarsenConfig, MultilevelConfig};
+use sparcs::multilevel::{coarsen, CoarsenConfig, MultilevelConfig};
 use sparcs::strategy::parse_spec;
 
 fn small_graph() -> impl Strategy<Value = TaskGraph> {
@@ -125,18 +127,18 @@ proptest! {
         }
     }
 
-    /// (c) Lagrangian soundness oracle: bound ≤ exact optimum wherever the
-    /// exact solver finishes, and never looser than the analyzer's pure
-    /// critical-path bound.
+    /// (c) Delay-sum bound soundness oracle: bound ≤ exact optimum
+    /// wherever the exact solver finishes, and never looser than the
+    /// analyzer's pure critical-path bound.
     #[test]
     fn lagrangian_bound_is_sound_and_dominates_the_cp_bound(g in small_graph()) {
         let arch = board();
-        let bound = lower_bound(&g, &arch).expect("bound");
+        let bound = delay_sum_bound_ns(&g, &arch.resources).expect("bound");
         let cp = sparcs::analyze::critical_path_lb_ns(&g).expect("analyzer bound");
         prop_assert!(
-            bound.bound_ns >= cp,
-            "lagrangian {} looser than critical path {}",
-            bound.bound_ns,
+            bound >= cp,
+            "delay-sum bound {} looser than critical path {}",
+            bound,
             cp
         );
         let session = FlowSession::new(g, arch);
@@ -145,9 +147,9 @@ proptest! {
             .expect("small instances solve exactly");
         if exact.design.stats.proven_optimal {
             prop_assert!(
-                bound.bound_ns <= exact.design.sum_delay_ns,
+                bound <= exact.design.sum_delay_ns,
                 "bound {} exceeds the proven-optimal delay sum {}",
-                bound.bound_ns,
+                bound,
                 exact.design.sum_delay_ns
             );
         }

@@ -128,3 +128,23 @@ fn ilp_relaxation_loop_started_at_lower_bound() {
     // Preprocessing: ⌈4000/1600⌉ = 3, feasible on the first try.
     assert_eq!(exp().design.stats.attempted_n, vec![3]);
 }
+
+#[test]
+fn certified_bounds_sit_below_the_proven_latency() {
+    use sparcs::analyze::rules;
+    // Before any solve: Σ d_p ≥ 5920 ns along the critical path, and ≥
+    // 6916 ns because 4000 CLBs of work cannot be packed tighter than the
+    // 1600-CLB device is wide; N ≥ 3.
+    let an = sparcs::analyze::analyze(
+        &exp().dct.graph,
+        &exp().arch,
+        sparcs::core::partitioning::MemoryMode::Net,
+    )
+    .expect("the DCT graph is a DAG");
+    let fact = |rule| an.fact(rule).map(|f| f.bound);
+    assert_eq!(fact(rules::CRITICAL_PATH_BOUND), Some(5_920));
+    assert_eq!(fact(rules::AREA_BOUND), Some(6_916));
+    assert_eq!(an.objective_lb_ns, 6_916);
+    assert_eq!(an.partition_count_lb, 3);
+    assert_eq!(exp().design.latency_ns, 300_008_440);
+}

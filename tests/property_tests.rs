@@ -9,7 +9,9 @@ use sparcs::core::{IlpPartitioner, PartitionOptions};
 use sparcs::dfg::gen::{layered, LayeredConfig};
 use sparcs::dfg::{paths, Resources};
 use sparcs::estimate::Architecture;
-use sparcs::rtr::{run_fdh, run_idh, run_static, Configuration, RtrDesign, StaticDesign};
+use sparcs::rtr::{
+    Configuration, FdhSequencer, IdhSequencer, RtrDesign, Sequencer, StaticDesign, StaticSequencer,
+};
 
 fn small_graph_strategy() -> impl Strategy<Value = sparcs::dfg::TaskGraph> {
     (0u64..1_000, 2u32..4, 2u32..4).prop_map(|(seed, layers, width)| {
@@ -142,8 +144,8 @@ proptest! {
         let design = RtrDesign::linear(configs, k);
         let dev = Architecture::xc4044_wildforce();
         let inputs: Vec<i32> = (0..comps as i32 * words as i32).map(|v| v % 97 - 48).collect();
-        let (o_fdh, t_fdh) = run_fdh(&dev, &design, &inputs).expect("fdh runs");
-        let (o_idh, t_idh) = run_idh(&dev, &design, &inputs).expect("idh runs");
+        let (o_fdh, t_fdh) = FdhSequencer::new(&dev, &design).run_slice(&inputs).expect("fdh runs");
+        let (o_idh, t_idh) = IdhSequencer::new(&dev, &design).run_slice(&inputs).expect("idh runs");
         prop_assert_eq!(&o_fdh, &o_idh);
         // The static single-configuration equivalent: the whole pipeline as
         // one kernel, same per-computation interface.
@@ -154,7 +156,7 @@ proptest! {
             design.output_words(),
             move |x: &[i32], out: &mut [i32]| out.copy_from_slice(&pipeline.compute_one(x)),
         );
-        let (o_static, t_static) = run_static(&dev, &monolith, &inputs).expect("static runs");
+        let (o_static, t_static) = StaticSequencer::new(&dev, &monolith).run_slice(&inputs).expect("static runs");
         prop_assert_eq!(&o_fdh, &o_static);
         prop_assert_eq!(t_static.reconfigurations, 1);
         // Functional reference, computation by computation.
