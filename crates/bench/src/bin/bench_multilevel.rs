@@ -4,9 +4,10 @@
 //! Two sweeps, written to `BENCH_multilevel.json` at the workspace root:
 //!
 //! * **quality** — on instances the exact ILP can still finish (the §4
-//!   DCT model and small layered graphs), the multilevel design's latency
-//!   next to the proven optimum, so the coarsening's quality loss is a
-//!   pinned number instead of folklore;
+//!   DCT model and small layered graphs), the design latency of every
+//!   strategy in [`SPECS`] next to the proven optimum, so the heuristics'
+//!   and the coarsening's quality loss are pinned numbers instead of
+//!   folklore;
 //! * **scale** — on `dfg::gen::scaled` graphs from 1k to 10k nodes
 //!   (far beyond the exact solver), wall time, tower depth, partition
 //!   count and the Lagrangian bound next to the pure critical-path bound
@@ -29,16 +30,29 @@ use sparcs_dfg::Resources;
 use sparcs_multilevel::{partition_multilevel, MultilevelConfig};
 use std::time::Instant;
 
-/// Multilevel vs. proven optimum on one exact-feasible instance.
+/// The strategies the quality sweep ranks on every instance.
+const SPECS: [&str; 5] = ["list", "list+kl", "list+anneal", "multilevel", "ilp"];
+
+/// One strategy's design on one quality instance.
+#[derive(Debug, Serialize)]
+struct StrategyCost {
+    spec: &'static str,
+    latency_ns: u64,
+    partitions: u32,
+    proven_optimal: bool,
+}
+
+/// Every strategy on one exact-feasible instance.
 #[derive(Debug, Serialize)]
 struct QualityRow {
     problem: String,
     tasks: usize,
-    multilevel_latency_ns: u64,
-    exact_latency_ns: u64,
-    /// `multilevel / exact`; 1.0 means the coarsening lost nothing.
-    quality_ratio: f64,
-    multilevel_proven_optimal: bool,
+    costs: Vec<StrategyCost>,
+    /// `multilevel / ilp` when the exact solve is proven; 1.0 means the
+    /// coarsening lost nothing.
+    quality_ratio: Option<f64>,
+    /// Fraction of the list→optimum gap closed by `list+kl` (1.0 = all).
+    kl_gap_closed: Option<f64>,
 }
 
 /// One scaled graph's multilevel run, beyond the exact solver's reach.
@@ -69,42 +83,52 @@ struct MultilevelTrajectory {
     scale: Vec<ScaleRow>,
 }
 
-fn quality_row(
-    session: &FlowSession,
-    options: &PartitionOptions,
-    problem: &str,
-) -> Option<QualityRow> {
-    let exact = session
-        .partition_with(parse_spec("ilp", options).expect("spec").as_ref())
-        .ok()?;
-    if !exact.design.stats.proven_optimal {
-        println!("[ML] {problem}: exact solve unproven, skipping quality row");
-        return None;
+fn quality_row(session: &FlowSession, options: &PartitionOptions, problem: &str) -> QualityRow {
+    let mut costs = Vec::new();
+    for spec in SPECS {
+        let strategy = parse_spec(spec, options).expect("spec parses");
+        match session.partition_with(strategy.as_ref()) {
+            Ok(stage) => costs.push(StrategyCost {
+                spec,
+                latency_ns: stage.design.latency_ns,
+                partitions: stage.design.partitioning.partition_count(),
+                proven_optimal: stage.design.stats.proven_optimal,
+            }),
+            Err(e) => println!("[ML] {problem}: {spec} infeasible ({e})"),
+        }
     }
-    let ml = session
-        .partition_with(parse_spec("multilevel", options).expect("spec").as_ref())
-        .ok()?;
-    let row = QualityRow {
+    for c in &costs {
+        println!(
+            "[ML] {problem:<12} {:<12} {:>10} ns over {} partitions{}",
+            c.spec,
+            c.latency_ns,
+            c.partitions,
+            if c.proven_optimal { ", proven" } else { "" }
+        );
+    }
+    let latency = |spec: &str| costs.iter().find(|c| c.spec == spec).map(|c| c.latency_ns);
+    let exact = costs
+        .iter()
+        .find(|c| c.spec == "ilp" && c.proven_optimal)
+        .map(|c| c.latency_ns);
+    // cast-ok: latencies are far below 2^53 ns
+    let quality_ratio = exact
+        .zip(latency("multilevel"))
+        .map(|(ilp, ml)| ml as f64 / ilp as f64);
+    let kl_gap_closed = match (latency("list"), latency("list+kl"), exact) {
+        // cast-ok: latencies are far below 2^53 ns
+        (Some(list), Some(kl), Some(ilp)) if list > ilp => {
+            Some((list - kl) as f64 / (list - ilp) as f64)
+        }
+        _ => None,
+    };
+    QualityRow {
         problem: problem.to_string(),
         tasks: session.graph().task_count(),
-        multilevel_latency_ns: ml.design.latency_ns,
-        exact_latency_ns: exact.design.latency_ns,
-        // cast-ok: latencies are far below 2^53 ns
-        quality_ratio: ml.design.latency_ns as f64 / exact.design.latency_ns as f64,
-        multilevel_proven_optimal: ml.design.stats.proven_optimal,
-    };
-    println!(
-        "[ML] {problem:<18} multilevel {:>10} ns vs exact {:>10} ns (ratio {:.4}{})",
-        row.multilevel_latency_ns,
-        row.exact_latency_ns,
-        row.quality_ratio,
-        if row.multilevel_proven_optimal {
-            ", proven"
-        } else {
-            ""
-        }
-    );
-    Some(row)
+        costs,
+        quality_ratio,
+        kl_gap_closed,
+    }
 }
 
 fn scale_row(nodes: usize) -> ScaleRow {
@@ -182,7 +206,7 @@ fn main() {
         },
         ..PartitionOptions::default()
     };
-    quality.extend(quality_row(&session, &options, "dct-paper"));
+    quality.push(quality_row(&session, &options, "dct-paper"));
 
     // Small layered graphs the exact solver still proves.
     let cfg = LayeredConfig {
@@ -193,10 +217,10 @@ fn main() {
     };
     let mut dev = Architecture::xc4044_wildforce();
     dev.resources = Resources::clbs(700);
-    for seed in 0..4 {
+    for seed in 0..6 {
         let g = gen::layered(&cfg, seed);
         let session = FlowSession::new(g, dev.clone());
-        quality.extend(quality_row(
+        quality.push(quality_row(
             &session,
             &PartitionOptions::default(),
             &format!("layered-{seed}"),

@@ -1,8 +1,9 @@
 //! `repro-tables` — prints every table and figure of the DAC'99 paper next
 //! to the values this reproduction computes, and dumps a machine-readable
-//! JSON record (used to refresh EXPERIMENTS.md).
+//! JSON record (`repro_tables.json`, or the path in `REPRO_JSON`).
+//! `tests/paper_numbers.rs` asserts the same numbers.
 //!
-//! Run with `cargo run --release -p sparcs-bench --bin repro-tables`.
+//! Run with `cargo run --release -p sparcs_bench --bin repro-tables`.
 
 use serde::Serialize;
 use sparcs_bench::{

@@ -1,10 +1,12 @@
-//! # sparcs-bench — the table/figure regeneration harness
+//! # sparcs_bench — the table/figure regeneration harness
 //!
-//! Shared machinery for the Criterion benches and the `repro-tables` binary:
-//! the paper's image list, analytic timing rows for Tables 1–2 (exactly the
-//! sequencers' cost model — cross-validated against the functional simulator
-//! in the workspace integration tests), the break-even sweep and the XC6000
-//! conjecture.
+//! Shared machinery for the `repro-tables` binary: the paper's image list,
+//! analytic timing rows for Tables 1–2 (exactly the sequencers' cost model
+//! — cross-validated against the functional simulator in the workspace
+//! integration tests), the break-even sweep and the XC6000 conjecture.
+//! Wall-time measurement lives in the end-to-end benchmark (`e2ebench/`);
+//! this crate's `bench-ilp` and `bench-multilevel` bins record the solver
+//! and multilevel sweeps it does not cover.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,7 +23,7 @@ use sparcs_estimate::{paper, Architecture};
 #[derive(Debug, Clone, Serialize)]
 pub struct TableRow {
     /// Synthetic image label (the paper's files are unavailable; rows are
-    /// parameterized by block count — see DESIGN.md).
+    /// parameterized by block count — see [`TABLE_BLOCKS`]).
     pub image: String,
     /// 4×4 DCT block count `I`.
     pub blocks: u64,
@@ -45,7 +47,7 @@ pub const TABLE_BLOCKS: [u64; 8] = [
 
 /// Returns the paper experiment. Assembly goes through the global
 /// [`sparcs::cache::PartitionCache`], so the nontrivial ILP solve happens
-/// once per process no matter how many benches, tables or explorations ask
+/// once per process no matter how many tables or explorations ask
 /// — the content-hashed cache replaced the `OnceLock` this harness used to
 /// carry for the same purpose, and unlike it also covers the non-paper
 /// variants (`XC6000`, `D_m` sweeps) each under their own key.
@@ -179,8 +181,9 @@ pub struct BreakEvenPoint {
 }
 
 /// Sweeps `k` to find the paper's break-even (*"roughly 42,553 blocks …
-/// in each temporal partition"*; our formula gives 39,683 — see
-/// EXPERIMENTS.md).
+/// in each temporal partition"*; our formula `N·CT / (static − rtr)` gives
+/// 39,683 — the paper used a slightly different per-block delta, with the
+/// same conclusion).
 pub fn break_even_sweep(exp: &DctExperiment) -> (u64, Vec<BreakEvenPoint>) {
     let be = exp
         .fission
@@ -220,7 +223,7 @@ pub fn dm_sensitivity(blocks: u64) -> Vec<(u64, f64)> {
         .collect()
 }
 
-/// Renders rows as an aligned text table (for the binary and EXPERIMENTS.md).
+/// Renders rows as an aligned text table (for `repro-tables`).
 pub fn render_table(title: &str, rows: &[TableRow]) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
@@ -261,8 +264,9 @@ mod tests {
         let exp = experiment();
         let rows = table2(&exp);
         let big = &rows[0];
-        assert!(big.improvement_pct > 30.0, "got {}", big.improvement_pct);
-        assert!(big.improvement_pct < 50.0, "got {}", big.improvement_pct);
+        // Paper: 42 % at 245,760 blocks.
+        assert!(big.improvement_pct > 35.0, "got {}", big.improvement_pct);
+        assert!(big.improvement_pct < 45.0, "got {}", big.improvement_pct);
         for w in rows.windows(2) {
             assert!(
                 w[0].improvement_pct >= w[1].improvement_pct,

@@ -7,7 +7,7 @@
 //! run phase 1 exactly once (the dual warm start's whole point), and must
 //! keep the §4 optimum bit-stable.
 
-use sparcs_core::model::{build_model, ModelConfig};
+use sparcs_core::model::{build_model, ModelConfig, PartitionModel};
 use sparcs_ilp::{solve, SolveOptions, Status};
 use sparcs_jpeg::{dct_task_graph, EstimateBackend};
 
@@ -15,15 +15,19 @@ use sparcs_jpeg::{dct_task_graph, EstimateBackend};
 /// parent commit; recorded in `BENCH_ilp.json` as `seed_baseline`).
 const SEED_NODES_N3: usize = 409;
 
-fn solve_dct_n3() -> sparcs_ilp::Solution {
+/// The §4 DCT model at partition bound `n`, with the declared row symmetry.
+fn dct_model(n: u32) -> PartitionModel {
     let dct = dct_task_graph(EstimateBackend::PaperCalibrated).expect("graph builds");
     let arch = sparcs_estimate::Architecture::xc4044_wildforce();
     let cfg = ModelConfig {
         declared_symmetry: dct.symmetry_groups.clone(),
         ..ModelConfig::default()
     };
-    let pm = build_model(&dct.graph, &arch, 3, &cfg).expect("model builds");
-    solve(&pm.model, &SolveOptions::default()).expect("model is feasible")
+    build_model(&dct.graph, &arch, n, &cfg).expect("model builds")
+}
+
+fn solve_dct_n3() -> sparcs_ilp::Solution {
+    solve(&dct_model(3).model, &SolveOptions::default()).expect("model is feasible")
 }
 
 #[test]
@@ -61,12 +65,7 @@ fn serial_dct_solve_is_deterministic() {
 fn injected_root_bound_preserves_the_n4_objective_and_node_budget() {
     const PREFISSION_NODES_N4: usize = 417;
     let dct = dct_task_graph(EstimateBackend::PaperCalibrated).expect("graph builds");
-    let arch = sparcs_estimate::Architecture::xc4044_wildforce();
-    let cfg = ModelConfig {
-        declared_symmetry: dct.symmetry_groups.clone(),
-        ..ModelConfig::default()
-    };
-    let pm = build_model(&dct.graph, &arch, 4, &cfg).expect("model builds");
+    let pm = dct_model(4);
     let cp = sparcs_analyze::critical_path_lb_ns(&dct.graph).expect("DCT graph is a DAG");
     assert_eq!(cp, 5_920, "the DCT's certified critical path moved");
     let sol = solve(
@@ -94,15 +93,8 @@ fn injected_root_bound_preserves_the_n4_objective_and_node_budget() {
 #[test]
 fn parallel_dct_solve_proves_the_same_objective() {
     let serial = solve_dct_n3();
-    let dct = dct_task_graph(EstimateBackend::PaperCalibrated).expect("graph builds");
-    let arch = sparcs_estimate::Architecture::xc4044_wildforce();
-    let cfg = ModelConfig {
-        declared_symmetry: dct.symmetry_groups.clone(),
-        ..ModelConfig::default()
-    };
-    let pm = build_model(&dct.graph, &arch, 3, &cfg).expect("model builds");
     let par = solve(
-        &pm.model,
+        &dct_model(3).model,
         &SolveOptions {
             jobs: 2,
             ..SolveOptions::default()
@@ -111,4 +103,17 @@ fn parallel_dct_solve_proves_the_same_objective() {
     .expect("model is feasible");
     assert_eq!(par.status, Status::Optimal);
     assert!((par.objective - serial.objective).abs() < 1e-6);
+}
+
+/// The §4 optimum (Σd = 8 440 ns) does not depend on the partition bound,
+/// so raising `N` only grows the model. The seed solver could not finish
+/// N = 5 inside its default pivot budget; the warm-started branch-and-bound
+/// must prove N = 4..=6 optimal under default options.
+#[test]
+fn optimum_is_invariant_in_the_partition_bound() {
+    for n in 4..=6u32 {
+        let sol = solve(&dct_model(n).model, &SolveOptions::default()).expect("model is feasible");
+        assert!((sol.objective - 8_440.0).abs() < 1e-6, "N={n}");
+        assert_eq!(sol.status, Status::Optimal, "N={n} must prove optimality");
+    }
 }

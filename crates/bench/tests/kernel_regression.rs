@@ -21,9 +21,6 @@
 //! comparison, so like the large-stream smoke in `tests/streaming.rs` the
 //! race is compiled out under `debug_assertions` and CI runs this test
 //! again under `--release`. The equivalence check runs in every build.
-//!
-//! The human-readable version of this comparison — with the ratio test and
-//! the rtr batch kernels included — is `benches/bench_kernels.rs`.
 
 use sparcs_ilp::kernels::{self, reference};
 use std::hint::black_box;

@@ -108,6 +108,19 @@ fn refinement_chains_are_deterministic_on_the_pinned_dct() {
 }
 
 #[test]
+fn exact_solve_never_ranks_behind_refined_list_on_the_pinned_dct() {
+    let (session, options) = dct_problem();
+    let exact = run(&session, &options, "ilp");
+    let kl = run(&session, &options, "list+kl");
+    assert!(
+        exact.design.latency_ns <= kl.design.latency_ns,
+        "ilp {} ns > list+kl {} ns",
+        exact.design.latency_ns,
+        kl.design.latency_ns
+    );
+}
+
+#[test]
 fn portfolio_matches_the_exact_optimum_on_the_pinned_dct() {
     let (session, options) = dct_problem();
     let exact = run(&session, &options, "ilp");

@@ -240,7 +240,7 @@ impl FissionAnalysis {
     /// IDH on bus-bound designs, skewing the FDH/IDH break-even.
     ///
     /// The paper's measured Table 2 matches this overlapped model far better
-    /// than the serialized formula (see EXPERIMENTS.md): its 42 % / 47 %
+    /// than the serialized formula (`tests/paper_numbers.rs`): its 42 % / 47 %
     /// improvements coincide with transfers hidden behind computation.
     pub fn idh_total_time_overlapped_ns(&self, total: u64) -> u64 {
         let batches = self.software_loop_count(total);

@@ -46,7 +46,6 @@ pub mod codegen;
 pub mod delay;
 pub mod fission;
 pub mod ilp;
-pub mod level;
 pub mod list;
 pub mod memory;
 pub mod model;

@@ -1,5 +1,5 @@
 //! Deterministic task-graph generators for tests, property tests and the
-//! ablation benchmarks (experiment A1 of DESIGN.md).
+//! benchmarks.
 //!
 //! All generators are seeded ([`rand::rngs::StdRng`]) so every experiment is
 //! reproducible bit-for-bit.

@@ -39,7 +39,8 @@ pub struct Architecture {
     ///
     /// The paper does not state this number; the preset value (25 ns/word) is
     /// calibrated from the described 33 MHz, 32-bit PCI link with a simple
-    /// handshaking protocol (see DESIGN.md, substitution notes).
+    /// handshaking protocol; `repro-tables` prints how the Table 2 headline
+    /// moves with it.
     pub transfer_ns_per_word: u64,
 }
 

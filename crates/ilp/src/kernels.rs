@@ -22,9 +22,9 @@
 //! The [`reference`] submodule keeps the original fused scalar loops.
 //! They are the specification: proptests assert the fissioned passes make
 //! *bit-identical* selections (same leaving row, same candidate set in the
-//! same order), and `sparcs_bench` races the two in the `bench_kernels`
-//! microbench and a CI throughput gate. Both variants are `pub` for exactly
-//! that reason — they are not a general-purpose API.
+//! same order), and `sparcs_bench`'s `kernel_regression` test races the
+//! two pricing forms as a CI throughput gate. Both variants are `pub` for
+//! exactly that reason — they are not a general-purpose API.
 
 /// Where a nonbasic column rests, as the kernels see it (a `u8`-sized
 /// mirror of the workspace's status array so candidate scans read one flat
@@ -153,7 +153,7 @@ pub fn dual_ratio_scan(
 
 /// The original fused scalar loops, kept as the executable specification
 /// for the fissioned passes above. Proptests assert equivalence; the
-/// `bench_kernels` microbench and the CI kernel gate race the two.
+/// `kernel_regression` CI gate races the pricing pair.
 pub mod reference {
     use super::ColStatus;
 

@@ -28,8 +28,8 @@
 //! slot), and a store-all pass (scatter the batch's outputs back through
 //! one strided write). The scalar kernel stays authoritative — streaming
 //! digests pin both forms bit-identical — and [`PhaseProfile`] reports
-//! the host nanoseconds of each pass (surfaced per sequencer in
-//! `BENCH_streaming.json`, with `words_per_sec`).
+//! the host nanoseconds of each pass (the end-to-end benchmark reports
+//! them as `rtr.load.ms`, `rtr.compute.ms` and `rtr.store.ms`).
 //!
 //! [`Sequencer::run_slice`] is the slice-in/vector-out convenience over
 //! these drivers ([`SliceSource`] in, [`VecSink`] out), with bit-identical
@@ -37,7 +37,7 @@
 //!
 //! ## Timing conventions
 //!
-//! (See EXPERIMENTS.md for the calibration discussion.)
+//! `D_m` is calibrated as `Architecture::transfer_ns_per_word` documents.
 //!
 //! * **Static**: one configuration load, then per pulled computation
 //!   `max(delay, duplex transfer)` — input/output streaming is double

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on a physical board: one Xilinx XC4044 on a
 //! WildForce-class PCI card with a 64K×32 SRAM, driven by a Pentium host.
-//! This crate is the simulated substitute (see DESIGN.md): a deterministic,
+//! This crate is the simulated substitute: a deterministic,
 //! integer-nanosecond model of
 //!
 //! * the **FPGA** (one loaded configuration at a time, `CT` per reload),

@@ -1,6 +1,6 @@
 //! Every quotable number of the paper's §4, asserted against this
-//! reproduction in one place (the narrative version lives in
-//! EXPERIMENTS.md).
+//! reproduction in one place (`repro-tables` prints the same numbers as
+//! tables).
 
 use sparcs::casestudy::DctExperiment;
 use sparcs::estimate::paper;
@@ -147,4 +147,55 @@ fn certified_bounds_sit_below_the_proven_latency() {
     assert_eq!(an.objective_lb_ns, 6_916);
     assert_eq!(an.partition_count_lb, 3);
     assert_eq!(exp().design.latency_ns, 300_008_440);
+}
+
+/// §4's strawman: the list partitioner packs T2 tasks into partition 1
+/// beside the T1s, which the paper says "would have increased the delay".
+#[test]
+fn list_strawman_mixes_two_t2_into_partition_1() {
+    use sparcs::core::delay::partition_delays;
+    use sparcs::core::list::partition_list;
+    use sparcs::core::PartitionId;
+    let g = &exp().dct.graph;
+    let list = partition_list(g, &exp().arch).expect("tasks fit the device");
+    let t2_in_p1 = list
+        .tasks_in(PartitionId(0))
+        .iter()
+        .filter(|t| g.task(**t).kind == "T2")
+        .count();
+    assert_eq!(t2_in_p1, 2);
+    let list_sum: u64 = partition_delays(g, &list).expect("DAG").iter().sum();
+    assert_eq!(list_sum, 10_960);
+    assert!(list_sum > exp().design.sum_delay_ns);
+}
+
+/// Eq. 3 counts boundary words per edge; §4 counts distinct values. Every
+/// DCT value that crosses a boundary feeds four T2 tasks, so the edge model
+/// charges four times the words.
+#[test]
+fn boundary_words_16_8_by_value_64_32_by_edge() {
+    use sparcs::core::memory::boundary_words;
+    use sparcs::core::partitioning::MemoryMode;
+    let (g, part) = (&exp().dct.graph, &exp().design.partitioning);
+    assert_eq!(boundary_words(g, part, MemoryMode::Net), vec![16, 8]);
+    assert_eq!(boundary_words(g, part, MemoryMode::Edge), vec![64, 32]);
+}
+
+/// Figure 5: unfissioned, every computation pays every reconfiguration;
+/// FDH pays them once per batch of `k`, so fission divides the overhead by
+/// exactly `k`. FDH wins a single batch, IDH every larger workload.
+#[test]
+fn fission_divides_overhead_by_k_and_idh_wins_past_one_batch() {
+    use sparcs::core::SequencingStrategy;
+    let f = &exp().fission;
+    for i in [2_048u64, 16_384, 245_760] {
+        assert_eq!(
+            f.unfissioned_overhead_ns(i) / f.fdh_overhead_ns(i),
+            f.k,
+            "I = {i}"
+        );
+    }
+    assert_eq!(f.choose_strategy(2_048), SequencingStrategy::Fdh);
+    assert_eq!(f.choose_strategy(16_384), SequencingStrategy::Idh);
+    assert_eq!(f.choose_strategy(245_760), SequencingStrategy::Idh);
 }
