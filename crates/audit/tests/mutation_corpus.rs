@@ -320,7 +320,6 @@ fn solution(x: Vec<f64>, objective: f64) -> Solution {
         nodes: 1,
         pivots: 1,
         cold_solves: 1,
-        wall: std::time::Duration::ZERO,
         status: Status::Optimal,
     }
 }

@@ -29,9 +29,6 @@ pub struct PartitionOptions {
     pub solve: SolveOptions,
     /// Hard cap on the partition bound (defaults to the task count).
     pub max_partitions: Option<u32>,
-    /// Seed the solver with the list-based heuristic when feasible
-    /// (defaults on via `Default`).
-    pub no_warm_start: bool,
     /// Pin the relaxation loop to the single partition bound `N₀ + offset`
     /// (where `N₀` is the resource lower bound) instead of walking
     /// `N₀..=max`. A portfolio shards the exact solve across candidate
@@ -69,6 +66,23 @@ pub struct SolveStats {
     pub cancelled: bool,
     /// How delay rows were generated in the final model.
     pub delay_mode: DelayMode,
+}
+
+impl Default for SolveStats {
+    /// The stats of a design no exact solve produced: nothing attempted,
+    /// nothing proven, delays in partition-sum accounting.
+    fn default() -> Self {
+        SolveStats {
+            attempted_n: Vec::new(),
+            nodes: 0,
+            pivots: 0,
+            cold_solves: 0,
+            wall: Duration::ZERO,
+            proven_optimal: false,
+            cancelled: false,
+            delay_mode: DelayMode::PartitionSum,
+        }
+    }
 }
 
 impl SolveStats {
@@ -120,6 +134,34 @@ pub struct PartitionedDesign {
     pub latency_ns: u64,
     /// Solver statistics.
     pub stats: SolveStats,
+}
+
+impl PartitionedDesign {
+    /// Prices `partitioning` on `g` for `arch`: the per-partition delays
+    /// `d_p`, their sum, and the latency `N·CT + Σ d_p` (Eq. 8). Every
+    /// design, exact or heuristic, is assembled here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::Cycle`] if the graph is not a DAG.
+    pub fn from_partitioning(
+        g: &TaskGraph,
+        arch: &Architecture,
+        partitioning: Partitioning,
+        stats: SolveStats,
+    ) -> Result<Self, GraphError> {
+        let partition_delays_ns = delay::partition_delays(g, &partitioning)?;
+        let sum_delay_ns: u64 = partition_delays_ns.iter().sum();
+        let latency_ns =
+            u64::from(partitioning.partition_count()) * arch.reconfig_time_ns + sum_delay_ns;
+        Ok(PartitionedDesign {
+            partitioning,
+            partition_delays_ns,
+            sum_delay_ns,
+            latency_ns,
+            stats,
+        })
+    }
 }
 
 impl fmt::Display for PartitionedDesign {
@@ -210,10 +252,9 @@ impl IlpPartitioner {
         self.partition_with_search(g, &SearchCtx::unbounded())
     }
 
-    /// Partitions `g` under a [`SearchCtx`]: the deadline and cancellation
-    /// token (when present — they take precedence over any token already in
-    /// [`SolveOptions`]) are threaded into every branch-and-bound solve of
-    /// the relaxation loop, and checked between bound attempts. Every solve
+    /// Partitions `g` under a [`SearchCtx`]: [`SearchCtx::stop_requested`]
+    /// is the stop signal of every branch-and-bound solve of the relaxation
+    /// loop, and is checked between bound attempts. Every solve
     /// starts from [`SolveOptions::root_bound`] tightened with
     /// [`delay::delay_sum_bound_ns`], a pure function of `(g, device)`, so
     /// the search stops the moment an incumbent meets it. A stopped
@@ -238,23 +279,15 @@ impl IlpPartitioner {
             }
         }
         if g.task_count() == 0 {
-            let partitioning = Partitioning::new(Vec::new());
-            return Ok(PartitionedDesign {
-                partitioning,
-                partition_delays_ns: Vec::new(),
-                sum_delay_ns: 0,
-                latency_ns: 0,
-                stats: SolveStats {
-                    attempted_n: Vec::new(),
-                    nodes: 0,
-                    pivots: 0,
-                    cold_solves: 0,
-                    wall: Duration::ZERO,
-                    proven_optimal: true,
-                    cancelled: false,
-                    delay_mode: DelayMode::ExactPaths { path_count: 0 },
-                },
-            });
+            let stats = SolveStats {
+                proven_optimal: true,
+                delay_mode: DelayMode::ExactPaths { path_count: 0 },
+                ..SolveStats::default()
+            };
+            let empty = Partitioning::new(Vec::new());
+            return Ok(PartitionedDesign::from_partitioning(
+                g, &self.arch, empty, stats,
+            )?);
         }
 
         // Preprocessing: resource lower bound on N.
@@ -282,15 +315,11 @@ impl IlpPartitioner {
         // f64 objective space is exact: delay sums stay far below 2^53 ns.
         let root_bound = delay::delay_sum_bound_ns(g, &self.arch.resources)? as f64;
 
-        // Optional warm start from the list heuristic.
-        let warm = if self.opts.no_warm_start {
-            None
-        } else {
-            list::partition_list(g, &self.arch).ok().filter(|p| {
-                p.validate(g, &self.arch, self.opts.model.memory_mode)
-                    .is_empty()
-            })
-        };
+        // Warm start from the list heuristic whenever its design is valid.
+        let warm = list::partition_list(g, &self.arch).ok().filter(|p| {
+            p.validate(g, &self.arch, self.opts.model.memory_mode)
+                .is_empty()
+        });
 
         // Bound sharding: a pinned offset solves exactly one bound of the
         // relaxation loop; a floor offset walks the rest of the loop from
@@ -313,96 +342,61 @@ impl IlpPartitioner {
             }
         };
 
-        let mut attempted = Vec::new();
-        let mut total_nodes = 0usize;
-        let mut total_pivots = 0usize;
-        let mut total_cold = 0usize;
         let t0 = Instant::now();
+        // Totals over every attempted bound.
+        let mut stats = SolveStats::default();
         // A stopped search with nothing from the solver still has the
         // validated list seed in hand whenever warm-starting was possible —
         // hand that back (flagged cancelled) instead of dying; the seed may
         // use more partitions than the bound being solved (it then never
         // reached the solver as an incumbent), but it is a feasible design.
-        let cancelled_fallback = |attempted: Vec<u32>,
-                                  nodes: usize,
-                                  pivots: usize,
-                                  cold: usize|
-         -> Result<PartitionedDesign, PartitionError> {
+        let cancelled_fallback = |mut stats: SolveStats| {
             let Some(partitioning) = warm.clone() else {
                 return Err(PartitionError::Solver(SolveError::Cancelled));
             };
-            let partition_delays_ns = delay::partition_delays(g, &partitioning)?;
-            let sum_delay_ns: u64 = partition_delays_ns.iter().sum();
-            let latency_ns =
-                partitioning.partition_count() as u64 * self.arch.reconfig_time_ns + sum_delay_ns;
-            Ok(PartitionedDesign {
+            stats.wall = t0.elapsed();
+            stats.cancelled = true;
+            Ok(PartitionedDesign::from_partitioning(
+                g,
+                &self.arch,
                 partitioning,
-                partition_delays_ns,
-                sum_delay_ns,
-                latency_ns,
-                stats: SolveStats {
-                    attempted_n: attempted,
-                    nodes,
-                    pivots,
-                    cold_solves: cold,
-                    wall: t0.elapsed(),
-                    proven_optimal: false,
-                    cancelled: true,
-                    delay_mode: DelayMode::PartitionSum,
-                },
-            })
+                stats,
+            )?)
         };
+        let stop = || search.stop_requested();
         for n in n_lo..=n_hi {
             // Between attempts the loop is a cooperative check point. The
             // first attempt always reaches the solver — it degrades to the
             // warm incumbent on its own when the search is already stopped.
             if n > n_lo && search.stop_requested() {
-                return cancelled_fallback(attempted, total_nodes, total_pivots, total_cold);
+                return cancelled_fallback(stats);
             }
-            attempted.push(n);
+            stats.attempted_n.push(n);
             let pm = model::build_model(g, &self.arch, n, &self.opts.model)?;
             let mut solve_opts = self.opts.solve.clone();
             solve_opts.tighten_root_bound(root_bound);
-            if let Some(deadline) = search.deadline() {
-                solve_opts.deadline =
-                    Some(solve_opts.deadline.map_or(deadline, |d| d.min(deadline)));
-            }
-            if let Some(token) = search.cancel_token() {
-                solve_opts.cancel = Some(token.clone());
-            }
             if let Some(w) = warm
                 .as_ref()
                 .and_then(|p| pm.encode_warm_start(g, p, &self.opts.model))
             {
                 solve_opts.warm_incumbent = Some(w);
             }
-            match sparcs_ilp::solve(&pm.model, &solve_opts) {
+            match sparcs_ilp::solve(&pm.model, &solve_opts, &stop) {
                 Ok(sol) => {
-                    total_nodes += sol.nodes;
-                    total_pivots += sol.pivots;
-                    total_cold += sol.cold_solves;
+                    stats.nodes += sol.nodes;
+                    stats.pivots += sol.pivots;
+                    stats.cold_solves += sol.cold_solves;
+                    stats.wall = t0.elapsed();
+                    stats.proven_optimal = sol.status == Status::Optimal;
+                    stats.cancelled = sol.status == Status::Cancelled;
+                    stats.delay_mode = pm.delay_mode;
                     let partitioning = pm.decode(&sol);
-                    let partition_delays_ns = delay::partition_delays(g, &partitioning)?;
-                    let sum_delay_ns: u64 = partition_delays_ns.iter().sum();
-                    let latency_ns = partitioning.partition_count() as u64
-                        * self.arch.reconfig_time_ns
-                        + sum_delay_ns;
-                    return Ok(PartitionedDesign {
+                    return Ok(PartitionedDesign::from_partitioning(
+                        g,
+                        &self.arch,
                         partitioning,
-                        partition_delays_ns,
-                        sum_delay_ns,
-                        latency_ns,
-                        stats: SolveStats {
-                            attempted_n: attempted,
-                            nodes: total_nodes,
-                            pivots: total_pivots,
-                            cold_solves: total_cold,
-                            wall: t0.elapsed(),
-                            proven_optimal: sol.status == Status::Optimal,
-                            cancelled: sol.status == Status::Cancelled,
-                            delay_mode: pm.delay_mode,
-                        },
-                    });
+                        stats,
+                    )?);
                 }
                 Err(SolveError::Infeasible) => {
                     // Paper: relax the partition bound by 1 and rebuild.
@@ -411,7 +405,7 @@ impl IlpPartitioner {
                 Err(SolveError::Cancelled) => {
                     // Stopped without a solver incumbent (the list seed may
                     // not encode at this bound); fall back to the seed.
-                    return cancelled_fallback(attempted, total_nodes, total_pivots, total_cold);
+                    return cancelled_fallback(stats);
                 }
                 Err(e) => return Err(PartitionError::Solver(e)),
             }
@@ -648,18 +642,25 @@ mod tests {
         assert!(d.stats.cancelled);
         assert!(!d.stats.proven_optimal);
         assert!(d.partitioning.validate(&g, &a, MemoryMode::Net).is_empty());
-        // Without a warm start there is no incumbent to return.
+        // Without a valid warm start there is no incumbent to return. On
+        // the chain a→b→c the memory-blind list packs {a,b}|{c}, cutting
+        // the 50-word value b→c that a 3-word memory cannot hold, so its
+        // seed fails validation and the pre-stopped solver starts
+        // empty-handed ({a}|{b,c} would cross only a's 1-word value).
+        let mut g = TaskGraph::new("heavy-edge");
+        let ta = g.add_task("a", Resources::clbs(100), 10, 1);
+        let tb = g.add_task("b", Resources::clbs(100), 10, 50);
+        let tc = g.add_task("c", Resources::clbs(100), 10, 1);
+        g.add_edge(ta, tb, 1).unwrap();
+        g.add_edge(tb, tc, 50).unwrap();
+        let dev = arch(200, 3);
+        let seed = crate::list::partition_list(&g, &dev).unwrap();
+        assert!(!seed.validate(&g, &dev, MemoryMode::Net).is_empty());
         let token = CancelToken::new();
         token.cancel();
-        let err = IlpPartitioner::new(
-            a,
-            PartitionOptions {
-                no_warm_start: true,
-                ..PartitionOptions::default()
-            },
-        )
-        .partition_with_search(&g, &SearchCtx::unbounded().and_cancel(token))
-        .unwrap_err();
+        let err = IlpPartitioner::new(dev, PartitionOptions::default())
+            .partition_with_search(&g, &SearchCtx::unbounded().and_cancel(token))
+            .unwrap_err();
         assert_eq!(err, PartitionError::Solver(SolveError::Cancelled));
     }
 
@@ -690,17 +691,5 @@ mod tests {
             .partitioning
             .validate(&g, &dev, MemoryMode::Net)
             .is_empty());
-    }
-
-    #[test]
-    fn warm_start_can_be_disabled() {
-        let g = gen::fig4_example();
-        let a = arch(1200, 100);
-        let opts = PartitionOptions {
-            no_warm_start: true,
-            ..PartitionOptions::default()
-        };
-        let d = IlpPartitioner::new(a, opts).partition(&g).unwrap();
-        assert_eq!(d.sum_delay_ns, 700);
     }
 }

@@ -56,4 +56,4 @@ pub mod search;
 pub use fission::{FissionAnalysis, SequencingStrategy};
 pub use ilp::{IlpPartitioner, PartitionError, PartitionOptions, PartitionedDesign};
 pub use partitioning::{PartitionId, Partitioning};
-pub use search::{CancelToken, SearchBudget, SearchCtx};
+pub use search::{CancelToken, SearchCtx};

@@ -642,7 +642,7 @@ mod tests {
         // device holds 1200, so two partitions are necessary and sufficient.
         let arch = arch_small(1200, 100);
         let pm = build_model(&g, &arch, 2, &ModelConfig::default()).unwrap();
-        let sol = solve(&pm.model, &SolveOptions::default()).unwrap();
+        let sol = solve(&pm.model, &SolveOptions::default(), &|| false).unwrap();
         // Optimal split: chains in partition 1 (delay 400), sink chain in
         // partition 2 (delay 300) → Σ d = 700.
         assert!(
@@ -661,7 +661,7 @@ mod tests {
         let g = gen::fig4_example(); // largest task: 500 CLBs
         let arch = arch_small(400, 100);
         let pm = build_model(&g, &arch, 7, &ModelConfig::default()).unwrap();
-        let err = solve(&pm.model, &SolveOptions::default()).unwrap_err();
+        let err = solve(&pm.model, &SolveOptions::default(), &|| false).unwrap_err();
         assert_eq!(err, sparcs_ilp::SolveError::Infeasible);
     }
 
@@ -678,7 +678,7 @@ mod tests {
         // Device fits two tasks per partition.
         let arch = arch_small(120, 10);
         let pm = build_model(&g, &arch, 2, &ModelConfig::default()).unwrap();
-        let sol = solve(&pm.model, &SolveOptions::default()).unwrap();
+        let sol = solve(&pm.model, &SolveOptions::default(), &|| false).unwrap();
         let part = pm.decode(&sol);
         assert_eq!(part.partition_of(a), part.partition_of(b), "a,b together");
         assert_ne!(part.partition_of(b), part.partition_of(c));
@@ -714,7 +714,7 @@ mod tests {
         let arch = arch_small(200, 5);
         let net_cfg = ModelConfig::default();
         let pm = build_model(&g, &arch, 2, &net_cfg).unwrap();
-        let sol = solve(&pm.model, &SolveOptions::default()).unwrap();
+        let sol = solve(&pm.model, &SolveOptions::default(), &|| false).unwrap();
         let part = pm.decode(&sol);
         assert!(part.validate(&g, &arch, MemoryMode::Net).is_empty());
 
@@ -727,7 +727,7 @@ mod tests {
         // needs 300 > 200 CLBs. Infeasible at N = 2 regardless of layout?
         // Splitting {a,b}|{c} stores only edge a→c = 4 ≤ 5: feasible. The
         // solver must find such a split and it must be edge-feasible.
-        let sol = solve(&pm.model, &SolveOptions::default()).unwrap();
+        let sol = solve(&pm.model, &SolveOptions::default(), &|| false).unwrap();
         let part = pm.decode(&sol);
         assert!(part.validate(&g, &arch, MemoryMode::Edge).is_empty());
     }
@@ -785,7 +785,7 @@ mod tests {
         let pm = build_model(&g, &arch, 2, &cfg).unwrap();
         assert_eq!(pm.delay_mode, DelayMode::PartitionSum);
         // Still solvable; objective becomes the serial-sum bound.
-        let sol = solve(&pm.model, &SolveOptions::default()).unwrap();
+        let sol = solve(&pm.model, &SolveOptions::default(), &|| false).unwrap();
         let part = pm.decode(&sol);
         assert!(part.validate(&g, &arch, MemoryMode::Net).is_empty());
     }
@@ -809,13 +809,13 @@ mod tests {
         for n in [1, 2] {
             let pm = build_model(&g, &arch, n, &ModelConfig::default()).unwrap();
             assert_eq!(
-                solve(&pm.model, &SolveOptions::default()).unwrap_err(),
+                solve(&pm.model, &SolveOptions::default(), &|| false).unwrap_err(),
                 sparcs_ilp::SolveError::Infeasible,
                 "N = {n}"
             );
         }
         let pm = build_model(&g, &arch, 3, &ModelConfig::default()).unwrap();
-        let sol = solve(&pm.model, &SolveOptions::default()).unwrap();
+        let sol = solve(&pm.model, &SolveOptions::default(), &|| false).unwrap();
         let part = pm.decode(&sol);
         assert_eq!(part.partition_count(), 3);
     }
@@ -862,10 +862,10 @@ mod tests {
             "cuts must tighten: {b_with} vs {b_without}"
         );
         // And the integer optimum is identical under both models.
-        let o_with = solve(&with.model, &SolveOptions::default())
+        let o_with = solve(&with.model, &SolveOptions::default(), &|| false)
             .unwrap()
             .objective;
-        let o_without = solve(&without.model, &SolveOptions::default())
+        let o_without = solve(&without.model, &SolveOptions::default(), &|| false)
             .unwrap()
             .objective;
         assert!((o_with - o_without).abs() < 1e-6);
@@ -889,7 +889,7 @@ mod tests {
             warm_incumbent: Some(warm),
             ..SolveOptions::default()
         };
-        let sol = solve(&pm.model, &opts).unwrap();
+        let sol = solve(&pm.model, &opts, &|| false).unwrap();
         assert!((sol.objective - 700.0).abs() < 1e-6);
     }
 }

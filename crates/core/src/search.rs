@@ -1,77 +1,92 @@
 //! Search budgets and cooperative cancellation for partitioners.
 //!
-//! Every search-aware partitioner entrypoint takes a [`SearchCtx`]: a
-//! wall-clock [`SearchBudget`] plus an optional [`CancelToken`]. The
-//! context is *cooperative* — strategies check it between units of work (a
-//! branch-and-bound node, a refinement pass) and, when stopped, return the
-//! best design found so far instead of dying. [`SearchCtx::unbounded`]
-//! recovers the classic run-to-completion behaviour and is the default
-//! everywhere a caller does not thread a context explicitly.
+//! Every search-aware partitioner entrypoint takes a [`SearchCtx`]: an
+//! optional wall-clock deadline plus an optional [`CancelToken`]. It is
+//! the only place either lives: the exact solver underneath reads no clock
+//! and is handed nothing but [`SearchCtx::stop_requested`] as its stop
+//! signal. The context is *cooperative* — strategies check it between
+//! units of work (a branch-and-bound node, a refinement pass) and, when
+//! stopped, return the best design found so far instead of dying.
+//! [`SearchCtx::unbounded`] recovers the classic run-to-completion
+//! behaviour and is the default everywhere a caller does not thread a
+//! context explicitly.
 //!
 //! Budgeted searches are *not deterministic* — how far a solve gets before
 //! the deadline depends on machine load — so results produced under a
 //! bounded context must never be memoized. [`SearchCtx::is_unbounded`] is
 //! the test caches use.
 
-pub use sparcs_ilp::CancelToken;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A wall-clock budget for a partitioning search.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SearchBudget {
-    deadline: Option<Instant>,
+/// A shareable cooperative-cancellation flag.
+///
+/// Tokens form parent chains: [`CancelToken::child`] yields a token that
+/// reports cancelled as soon as *either* itself or any ancestor is
+/// cancelled, so a caller can revoke a whole family of racing solves with
+/// one [`CancelToken::cancel`] while each racer keeps a private flag for
+/// first-winner cancellation.
+#[derive(Debug, Clone, Default)]
+pub struct CancelToken {
+    inner: Arc<TokenInner>,
 }
 
-impl SearchBudget {
-    /// No budget: the search runs to completion.
-    pub fn unbounded() -> Self {
+#[derive(Debug, Default)]
+struct TokenInner {
+    flag: AtomicBool,
+    parent: Option<CancelToken>,
+}
+
+impl CancelToken {
+    /// A fresh, uncancelled token.
+    pub fn new() -> Self {
         Self::default()
     }
 
-    /// Stop at a fixed instant.
-    pub fn until(deadline: Instant) -> Self {
-        SearchBudget {
-            deadline: Some(deadline),
+    /// A token that is cancelled whenever `self` (or any of `self`'s
+    /// ancestors) is — plus whenever the child itself is cancelled.
+    pub fn child(&self) -> Self {
+        CancelToken {
+            inner: Arc::new(TokenInner {
+                flag: AtomicBool::new(false),
+                parent: Some(self.clone()),
+            }),
         }
     }
 
-    /// Stop `timeout` from now.
-    pub fn timeout(timeout: Duration) -> Self {
-        Self::until(Instant::now() + timeout)
+    /// Requests cancellation of this token (and every child derived from
+    /// it). Irrevocable.
+    pub fn cancel(&self) {
+        // relaxed-ok: the flag is monotonic (false→true, never back) and
+        // carries no payload — no other memory is published with it, so
+        // observers need only *eventually* see the store, which every
+        // ordering guarantees. Checked exhaustively by the interleaving
+        // models in crates/ilp/tests/interleavings.rs.
+        self.inner.flag.store(true, Ordering::Relaxed);
     }
 
-    /// The absolute deadline, when one is set.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    /// Whether the deadline (if any) has passed.
-    pub fn expired(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Whether no deadline is set at all.
-    pub fn is_unbounded(&self) -> bool {
-        self.deadline.is_none()
-    }
-
-    /// The tighter of two budgets (earlier deadline wins).
-    pub fn min(self, other: SearchBudget) -> SearchBudget {
-        SearchBudget {
-            deadline: match (self.deadline, other.deadline) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
+    /// Whether this token or any ancestor has been cancelled.
+    pub fn is_cancelled(&self) -> bool {
+        let mut cur = Some(self);
+        while let Some(token) = cur {
+            // relaxed-ok: polling a monotonic flag; a stale `false` only
+            // delays a cooperative stop by one more poll, never loses it.
+            if token.inner.flag.load(Ordering::Relaxed) {
+                return true;
+            }
+            cur = token.inner.parent.as_ref();
         }
+        false
     }
 }
 
 /// The search context threaded through every search-aware
-/// `partition(&ctx, &SearchCtx)` entrypoint: a budget plus an optional
-/// cancellation token.
+/// `partition(&ctx, &SearchCtx)` entrypoint: an optional deadline plus an
+/// optional cancellation token.
 #[derive(Debug, Clone, Default)]
 pub struct SearchCtx {
-    budget: SearchBudget,
+    deadline: Option<Instant>,
     cancel: Option<CancelToken>,
 }
 
@@ -82,22 +97,17 @@ impl SearchCtx {
         Self::default()
     }
 
-    /// A context with the given budget.
-    pub fn with_budget(budget: SearchBudget) -> Self {
-        SearchCtx {
-            budget,
-            cancel: None,
-        }
-    }
-
     /// A context that stops `timeout` from now.
     pub fn with_timeout(timeout: Duration) -> Self {
-        Self::with_budget(SearchBudget::timeout(timeout))
+        Self::with_deadline(Instant::now() + timeout)
     }
 
     /// A context that stops at `deadline`.
     pub fn with_deadline(deadline: Instant) -> Self {
-        Self::with_budget(SearchBudget::until(deadline))
+        SearchCtx {
+            deadline: Some(deadline),
+            cancel: None,
+        }
     }
 
     /// Attaches (or replaces) the cancellation token.
@@ -106,36 +116,27 @@ impl SearchCtx {
         self
     }
 
-    /// The wall-clock budget.
-    pub fn budget(&self) -> &SearchBudget {
-        &self.budget
-    }
-
     /// The absolute deadline, when one is set.
     pub fn deadline(&self) -> Option<Instant> {
-        self.budget.deadline()
-    }
-
-    /// The cancellation token, when one is attached.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
+        self.deadline
     }
 
     /// Whether the search should stop now (token cancelled or deadline
     /// passed). Cooperative strategies poll this between units of work.
     pub fn stop_requested(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) || self.budget.expired()
+        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+            || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// Whether this context can never stop a search: no deadline and no
     /// cancellation token. Only unbounded searches are deterministic, so
     /// only their results may be memoized.
     pub fn is_unbounded(&self) -> bool {
-        self.budget.is_unbounded() && self.cancel.is_none()
+        self.deadline.is_none() && self.cancel.is_none()
     }
 
-    /// A derived context for one racer of a portfolio: same budget, plus a
-    /// fresh shared token that is a child of this context's own token (so
+    /// A derived context for one racer of a portfolio: same deadline, plus
+    /// a fresh shared token that is a child of this context's own token (so
     /// cancelling the parent still stops every racer). Returns the shared
     /// token too — the racer that proves a winner cancels the whole race
     /// with it.
@@ -146,7 +147,7 @@ impl SearchCtx {
             .map_or_else(CancelToken::new, CancelToken::child);
         (
             SearchCtx {
-                budget: self.budget,
+                deadline: self.deadline,
                 cancel: Some(token.clone()),
             },
             token,
@@ -200,15 +201,16 @@ mod tests {
     }
 
     #[test]
-    fn budget_min_takes_the_earlier_deadline() {
-        let now = Instant::now();
-        let a = SearchBudget::until(now + Duration::from_secs(1));
-        let b = SearchBudget::until(now + Duration::from_secs(2));
-        assert_eq!(a.min(b).deadline(), a.deadline());
-        assert_eq!(b.min(a).deadline(), a.deadline());
-        assert_eq!(a.min(SearchBudget::unbounded()).deadline(), a.deadline());
-        assert!(SearchBudget::unbounded()
-            .min(SearchBudget::unbounded())
-            .is_unbounded());
+    fn cancel_tokens_chain_through_children() {
+        let parent = CancelToken::new();
+        let child = parent.child();
+        let sibling = parent.child();
+        assert!(!child.is_cancelled());
+        child.cancel();
+        assert!(child.is_cancelled());
+        assert!(!parent.is_cancelled(), "children never cancel upward");
+        assert!(!sibling.is_cancelled());
+        parent.cancel();
+        assert!(sibling.is_cancelled(), "parents cancel every child");
     }
 }

@@ -1,118 +1,35 @@
-//! Warm-started, parallel branch-and-bound for mixed 0/1-integer programs.
+//! Warm-started branch-and-bound for mixed 0/1-integer programs.
 //!
 //! Each node tightens the bounds of one fractional integer variable
 //! (`x ≤ ⌊v⌋` / `x ≥ ⌈v⌉`) and re-optimizes the parent's LP basis with a
 //! few *dual simplex* pivots — phase 1 runs (at most) once at the root,
-//! never per node. The search is a best-bound/dive hybrid: workers pop the
-//! node with the best relaxation bound from a shared heap, then dive
-//! depth-first (child nearer the LP value first) re-using the factorized
-//! basis in place, pushing the sibling for later. Nodes carry
-//! parent-pointer *bound deltas* instead of full bound vectors, plus an
-//! [`Arc`]-shared basis snapshot.
+//! never per node. The search is a best-bound/dive hybrid: pop the node
+//! with the best relaxation bound from a heap, then dive depth-first
+//! (child nearer the LP value first) re-using the factorized basis in
+//! place, pushing the sibling for later. Nodes carry parent-pointer *bound
+//! deltas* instead of full bound vectors, plus a shared basis snapshot.
 //!
-//! Pruning is threefold: the relaxation bound against the shared incumbent
-//! (an atomic, so workers see improvements immediately), *reduced-cost
-//! fixing* of nonbasic 0/1 variables whose reduced cost exceeds the
-//! bound-to-incumbent gap (the fix rides along on both children's deltas),
-//! and a caller-supplied warm incumbent (e.g. the list-based temporal
-//! partitioner's solution) that tightens all of it from the first node.
+//! Pruning is threefold: the relaxation bound against the incumbent,
+//! *reduced-cost fixing* of nonbasic 0/1 variables whose reduced cost
+//! exceeds the bound-to-incumbent gap (the fix rides along on both
+//! children's deltas), and a caller-supplied warm incumbent (e.g. the
+//! list-based temporal partitioner's solution) that tightens all of it from
+//! the first node.
 //!
-//! With `jobs > 1` the tree is explored by that many workers sharing the
-//! heap and incumbent; the search stays exhaustive, so the *proven optimal
-//! objective is identical for every job count* (node counts and the
-//! witness assignment may differ between runs — only the serial default is
-//! deterministic node-for-node).
-//!
-//! The search also stops *cooperatively*: a [`SolveOptions::deadline`] or a
-//! flipped [`CancelToken`] is observed between node relaxations, and a
-//! stopped solve returns its best incumbent with [`Status::Cancelled`] plus
-//! the tightest still-open relaxation bound ([`Solution::bound`]) instead
-//! of dying — the contract portfolio racing and budgeted exploration build
-//! on.
+//! The search runs on the calling thread and is deterministic node for
+//! node: the same model and options explore the same nodes in the same
+//! order. It reads no clock. It stops *cooperatively* through the caller's
+//! `stop` signal, polled before every node relaxation and every simplex
+//! pivot, so even a long root relaxation honours it; a stopped solve
+//! returns its best incumbent with [`Status::Cancelled`] plus the tightest
+//! still-open relaxation bound ([`Solution::bound`]) instead of dying — the
+//! contract portfolio racing and budgeted exploration build on.
 
 use crate::model::{Model, ModelError, VarKind};
 use crate::simplex::{LpError, RelaxOutcome, VStat, Workspace};
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-/// A shareable cooperative-cancellation flag, checked by the
-/// branch-and-bound workers between node relaxations.
-///
-/// Tokens form parent chains: [`CancelToken::child`] yields a token that
-/// reports cancelled as soon as *either* itself or any ancestor is
-/// cancelled, so a caller can revoke a whole family of racing solves with
-/// one [`CancelToken::cancel`] while each racer keeps a private flag for
-/// first-winner cancellation.
-#[derive(Clone, Default)]
-pub struct CancelToken {
-    inner: Arc<TokenInner>,
-}
-
-#[derive(Default)]
-struct TokenInner {
-    flag: AtomicBool,
-    parent: Option<CancelToken>,
-}
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A token that is cancelled whenever `self` (or any of `self`'s
-    /// ancestors) is — plus whenever the child itself is cancelled.
-    pub fn child(&self) -> Self {
-        CancelToken {
-            inner: Arc::new(TokenInner {
-                flag: AtomicBool::new(false),
-                parent: Some(self.clone()),
-            }),
-        }
-    }
-
-    /// Requests cancellation of this token (and every child derived from
-    /// it). Irrevocable.
-    pub fn cancel(&self) {
-        // relaxed-ok: the flag is monotonic (false→true, never back) and
-        // carries no payload — no other memory is published with it, so
-        // observers need only *eventually* see the store, which every
-        // ordering guarantees. Checked exhaustively by the interleaving
-        // models in crates/ilp/tests/interleavings.rs.
-        self.inner.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether this token or any ancestor has been cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        let mut cur = Some(self);
-        while let Some(token) = cur {
-            // relaxed-ok: polling a monotonic flag; a stale `false` only
-            // delays a cooperative stop by one more poll, never loses it.
-            if token.inner.flag.load(Ordering::Relaxed) {
-                return true;
-            }
-            cur = token.inner.parent.as_ref();
-        }
-        false
-    }
-}
-
-impl fmt::Debug for CancelToken {
-    /// Renders the token's *identity* (the shared allocation address), not
-    /// just its state: options carrying distinct live tokens must never
-    /// alias in `Debug`-rendered cache keys, because their solves can stop
-    /// at different points.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CancelToken@{:p}", Arc::as_ptr(&self.inner))?;
-        if self.is_cancelled() {
-            write!(f, "(cancelled)")?;
-        }
-        Ok(())
-    }
-}
+use std::rc::Rc;
 
 /// Options controlling the branch-and-bound search.
 #[derive(Debug, Clone)]
@@ -127,20 +44,6 @@ pub struct SolveOptions {
     /// Known-feasible assignment used as the initial incumbent (checked
     /// against the model; an invalid warm start is an error).
     pub warm_incumbent: Option<Vec<f64>>,
-    /// Worker threads exploring subtrees (`<= 1` = serial). The proven
-    /// optimal objective is the same for every value; node/pivot counts
-    /// are only deterministic for the serial default.
-    pub jobs: u32,
-    /// Wall-clock deadline. When it passes mid-search the solve stops
-    /// cooperatively (checked between node relaxations) and returns its
-    /// best incumbent with [`Status::Cancelled`] plus the tightest
-    /// still-open relaxation bound — or [`SolveError::Cancelled`] when no
-    /// incumbent exists yet.
-    pub deadline: Option<Instant>,
-    /// External cancellation flag, same cooperative semantics as
-    /// [`Self::deadline`]. Lets a portfolio of racing solves stop the
-    /// losers the moment a winner is proven.
-    pub cancel: Option<CancelToken>,
     /// A **proven** bound on the optimum in the model's orientation (a
     /// lower bound for minimization, an upper bound for maximization) —
     /// e.g. the delay-sum bound the temporal partitioner certifies before
@@ -163,9 +66,6 @@ impl Default for SolveOptions {
             max_simplex_iters: 200_000,
             tolerance: 1e-6,
             warm_incumbent: None,
-            jobs: 1,
-            deadline: None,
-            cancel: None,
             root_bound: None,
         }
     }
@@ -198,8 +98,8 @@ pub enum Status {
     /// A feasible solution was found but the node limit stopped the proof of
     /// optimality.
     Feasible,
-    /// A feasible solution was found but the search was cancelled (deadline
-    /// or [`CancelToken`]) before the proof of optimality; the returned
+    /// A feasible solution was found but the caller's stop signal ended
+    /// the search before the proof of optimality; the returned
     /// [`Solution::bound`] tells how far the incumbent could still be from
     /// the optimum.
     Cancelled,
@@ -226,25 +126,8 @@ pub struct Solution {
     /// Cold (phase-1 capable) solves performed; warm starts keep this at 1
     /// for the root unless a basis had to be rebuilt from scratch.
     pub cold_solves: usize,
-    /// Wall-clock time of the search.
-    pub wall: Duration,
     /// Whether optimality was proven.
     pub status: Status,
-}
-
-impl Solution {
-    /// Simplex throughput of the search: pivots (plus bound flips) per
-    /// wall-clock second — the headline number the fissioned kernel layer
-    /// is benchmarked on (see `BENCH_ilp.json`). Zero for an instantaneous
-    /// solve rather than a division by zero.
-    pub fn pivots_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.pivots as f64 / secs
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Failure modes of [`solve`].
@@ -264,8 +147,8 @@ pub enum SolveError {
     Numerical(String),
     /// A supplied warm incumbent violates the model.
     BadWarmStart(Vec<String>),
-    /// The search was cancelled (deadline or [`CancelToken`]) before any
-    /// feasible solution was found.
+    /// The caller's stop signal ended the search before any feasible
+    /// solution was found.
     Cancelled,
 }
 
@@ -300,16 +183,16 @@ impl From<ModelError> for SolveError {
 /// absolute replacement bounds; a child's full bound vector is the root
 /// bounds with every chain link applied root-first.
 struct Delta {
-    parent: Option<Arc<Delta>>,
+    parent: Option<Rc<Delta>>,
     changes: Vec<(u32, f64, f64)>,
 }
 
 /// A node awaiting processing: where it is in the tree (delta chain), the
 /// basis to warm-start from, and the parent relaxation bound it inherited.
 struct Node {
-    chain: Option<Arc<Delta>>,
+    chain: Option<Rc<Delta>>,
     /// Basis snapshot of the parent's optimal solve; `None` = cold root.
-    basis: Option<Arc<[u8]>>,
+    basis: Option<Rc<[u8]>>,
     /// Parent LP objective in the minimization key (pruning bound).
     bound: f64,
 }
@@ -342,222 +225,267 @@ impl Ord for HeapNode {
     }
 }
 
-struct Queue {
-    heap: BinaryHeap<HeapNode>,
-    active: usize,
-    aborted: bool,
-    seq: u64,
-    /// Relaxation bounds of popped-but-unfinished nodes. A worker's dive
-    /// only tightens its node's bound, so the pop-time value is a valid
-    /// (conservative) member of the frontier minimum computed at abort.
-    in_flight: Vec<f64>,
+/// Why the search ended before exhausting the tree.
+enum Halt {
+    /// The caller's stop signal fired.
+    Stopped,
+    /// The node budget ran out.
+    NodeLimit,
+    /// An incumbent met the caller's proven root bound — an *optimality*
+    /// stop, unlike the two above.
+    RootBound,
+    /// A relaxation failed; the solve returns this error.
+    Failed(SolveError),
 }
 
-struct Shared<'a> {
+/// The search state: the open-node heap, the incumbent, and the one
+/// workspace whose factorized basis every dive re-uses in place.
+struct Search<'a> {
     model: &'a Model,
     opts: &'a SolveOptions,
+    stop: &'a dyn Fn() -> bool,
     int_vars: Vec<usize>,
     root_bounds: Vec<(f64, f64)>,
-    queue: Mutex<Queue>,
-    cv: Condvar,
-    /// Best known integer solution: `(minimization key, x)`.
-    incumbent: Mutex<Option<(f64, Vec<f64>)>>,
-    /// Read-mostly mirror of the incumbent key for cheap pruning.
-    incumbent_key: AtomicF64,
     /// [`SolveOptions::root_bound`] translated into the internal
     /// minimization key orientation; incumbents at or below it end the
     /// search as proven optimal.
     root_key: Option<f64>,
-    nodes: AtomicUsize,
-    node_limit_hit: AtomicBool,
-    cancel_hit: AtomicBool,
-    /// Set when the search stopped because an incumbent met the root
-    /// bound — an *optimality* stop, unlike the two flags above.
-    root_bound_hit: AtomicBool,
-    /// Tightest still-open relaxation bound (minimization key) captured
-    /// when the search aborted; `None` for searches that ran to completion.
-    stop_bound: Mutex<Option<f64>>,
-    error: Mutex<Option<SolveError>>,
+    heap: BinaryHeap<HeapNode>,
+    seq: u64,
+    /// Best known integer solution: `(minimization key, x)`.
+    incumbent: Option<(f64, Vec<f64>)>,
+    nodes: usize,
+    ws: Workspace,
+    /// Reusable staging for node materialization: the bound vector, the
+    /// chain-walk stack, and the basis-snapshot bytes. Cleared per node,
+    /// never reallocated once warm.
+    bounds: Vec<(f64, f64)>,
+    links: Vec<Rc<Delta>>,
+    snap: Vec<u8>,
 }
 
-/// An `f64` behind an `AtomicU64` (bit transmutation, CAS on improve).
-struct AtomicF64(std::sync::atomic::AtomicU64);
-
-impl AtomicF64 {
-    fn new(v: f64) -> Self {
-        AtomicF64(std::sync::atomic::AtomicU64::new(v.to_bits()))
-    }
-    fn get(&self) -> f64 {
-        // relaxed-ok: advisory pruning bound. The true incumbent lives
-        // under `Shared::incumbent`'s mutex; this mirror is only ever set
-        // *while holding that lock* (offer_incumbent), so it can lag worse
-        // than the truth but never advertise better — a stale read merely
-        // prunes less. Checked exhaustively by the interleaving models in
-        // crates/ilp/tests/interleavings.rs.
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-    fn set(&self, v: f64) {
-        // relaxed-ok: see `get` — writes are serialized by the incumbent
-        // mutex, and readers tolerate staleness by construction.
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-}
-
-impl<'a> Shared<'a> {
+impl Search<'_> {
     fn incumbent_key(&self) -> f64 {
-        self.incumbent_key.get()
+        self.incumbent.as_ref().map_or(f64::INFINITY, |(k, _)| *k)
     }
 
-    /// Installs a better incumbent; returns whether it improved.
-    fn offer_incumbent(&self, key: f64, x: Vec<f64>) -> bool {
-        let mut guard = self.incumbent.lock().expect("incumbent lock");
-        let improves = guard
-            .as_ref()
-            .is_none_or(|(cur, _)| key < cur - self.opts.tolerance);
-        if improves {
-            *guard = Some((key, x));
-            self.incumbent_key.set(key);
-        }
-        improves
+    /// Whether `x` meets the caller's proven root bound. Judged on the
+    /// *original* objective — the root bound is a statement about the
+    /// model, not about the perturbed key space. Such an incumbent is
+    /// optimal: no open node can beat a proven bound.
+    fn meets_root_bound(&self, x: &[f64]) -> bool {
+        self.root_key.is_some_and(|rk| {
+            let o = self.model.objective().expr().eval(x);
+            let omin = if self.model.objective().is_max() {
+                -o
+            } else {
+                o
+            };
+            omin <= rk + self.opts.tolerance
+        })
     }
 
-    fn record_error(&self, e: SolveError) {
-        let mut guard = self.error.lock().expect("error lock");
-        guard.get_or_insert(e);
-        let mut q = self.queue.lock().expect("queue lock");
-        q.aborted = true;
-        q.heap.clear();
-        self.cv.notify_all();
+    /// Claims one node of the budget, polling the caller's stop signal
+    /// first (the simplex polls it again between pivots).
+    fn claim_node(&mut self) -> Result<(), Halt> {
+        if (self.stop)() {
+            return Err(Halt::Stopped);
+        }
+        if self.nodes >= self.opts.max_nodes {
+            return Err(Halt::NodeLimit);
+        }
+        self.nodes += 1;
+        Ok(())
     }
 
-    /// Whether the caller asked the search to stop (cancel token flipped or
-    /// the wall-clock deadline passed). Checked between node relaxations —
-    /// the cooperative-cancellation granularity is one LP re-optimization.
-    fn stop_requested(&self) -> bool {
-        if self
-            .opts
-            .cancel
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled)
-        {
-            return true;
-        }
-        self.opts.deadline.is_some_and(|d| Instant::now() >= d)
+    fn push(&mut self, node: Node) {
+        self.heap.push(HeapNode {
+            node,
+            seq: self.seq,
+        });
+        self.seq += 1;
     }
 
-    /// Aborts the search, recording the tightest still-open relaxation
-    /// bound (heap frontier plus in-flight nodes) before draining the
-    /// queue, so the caller can report the proven optimality gap. `flag`
-    /// names the reason (node budget vs. cancellation).
-    fn abort_search(&self, flag: &AtomicBool) {
-        // relaxed-ok: the swap only elects *one* caller to record the stop
-        // bound (atomicity does that alone); the state it publishes —
-        // frontier bound, aborted flag, drained heap — travels under the
-        // queue mutex acquired right after, not through this flag.
-        if !flag.swap(true, Ordering::Relaxed) {
-            let mut q = self.queue.lock().expect("queue lock");
-            if !q.aborted {
-                let frontier = q
-                    .heap
-                    .iter()
-                    .map(|hn| hn.node.bound)
-                    .chain(q.in_flight.iter().copied())
-                    .fold(f64::INFINITY, f64::min);
-                *self.stop_bound.lock().expect("bound lock") = Some(frontier);
-                q.aborted = true;
-                q.heap.clear();
-            }
-            self.cv.notify_all();
-        }
-    }
-
-    /// Claims one node budget slot; aborts the search when the caller
-    /// requested a stop or the node budget is exhausted.
-    fn claim_node(&self) -> bool {
-        if self.stop_requested() {
-            self.abort_search(&self.cancel_hit);
-            return false;
-        }
-        // relaxed-ok: budget counter — fetch_add's atomicity alone makes
-        // slot claims exact; no other memory is published through it.
-        let n = self.nodes.fetch_add(1, Ordering::Relaxed);
-        if n >= self.opts.max_nodes {
-            // relaxed-ok: undoing this thread's own over-claim above.
-            self.nodes.fetch_sub(1, Ordering::Relaxed);
-            self.abort_search(&self.node_limit_hit);
-            false
-        } else {
-            true
-        }
-    }
-
-    fn push_node(&self, node: Node) {
-        let mut q = self.queue.lock().expect("queue lock");
-        if q.aborted {
-            return;
-        }
-        let seq = q.seq;
-        q.seq += 1;
-        q.heap.push(HeapNode { node, seq });
-        self.cv.notify_one();
-    }
-
-    /// Pops the best-bound node, blocking while other workers may still
-    /// produce work. `None` = search over.
-    fn pop_node(&self) -> Option<Node> {
-        let mut q = self.queue.lock().expect("queue lock");
-        loop {
-            if q.aborted {
-                return None;
-            }
-            if let Some(hn) = q.heap.pop() {
-                q.active += 1;
-                q.in_flight.push(hn.node.bound);
-                return Some(hn.node);
-            }
-            if q.active == 0 {
-                self.cv.notify_all();
-                return None;
-            }
-            q = self.cv.wait(q).expect("queue wait");
-        }
-    }
-
-    fn finish_node(&self, bound: f64) {
-        let mut q = self.queue.lock().expect("queue lock");
-        q.active -= 1;
-        if let Some(pos) = q.in_flight.iter().position(|&b| b == bound) {
-            q.in_flight.swap_remove(pos);
-        }
-        if q.active == 0 && q.heap.is_empty() {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Materializes a node's bound vector into `scratch`: root bounds +
-    /// delta chain applied root-first (later links overwrite, i.e.
-    /// tighten). The two buffers belong to the worker so the per-node
-    /// materialization reuses their capacity instead of allocating.
-    fn bounds_into(&self, chain: &Option<Arc<Delta>>, scratch: &mut NodeScratch) {
-        scratch.bounds.clear();
-        scratch.bounds.extend_from_slice(&self.root_bounds);
-        scratch.links.clear();
+    /// Loads a node's bound vector into the workspace: root bounds + delta
+    /// chain applied root-first (later links overwrite, i.e. tighten).
+    fn load_bounds(&mut self, chain: &Option<Rc<Delta>>) {
+        self.bounds.clear();
+        self.bounds.extend_from_slice(&self.root_bounds);
+        self.links.clear();
         let mut cur = chain.as_ref();
         while let Some(d) = cur {
-            scratch.links.push(Arc::clone(d));
+            self.links.push(Rc::clone(d));
             cur = d.parent.as_ref();
         }
-        for d in scratch.links.drain(..).rev() {
+        for d in self.links.drain(..).rev() {
             for &(v, lo, hi) in &d.changes {
-                scratch.bounds[v as usize] = (lo, hi);
+                self.bounds[v as usize] = (lo, hi);
             }
         }
+        self.ws.set_bounds_full(&self.bounds);
+    }
+
+    /// Solves `node` and dives: branch, re-optimize the nearer child in
+    /// place, push the sibling.
+    fn process_subtree(&mut self, node: Node) -> Result<(), Halt> {
+        let tol = self.opts.tolerance;
+        let budget = self.opts.max_simplex_iters;
+        // Bound-prune at pop time: the incumbent may have improved since push.
+        if node.bound >= self.incumbent_key() - tol {
+            return Ok(());
+        }
+        self.claim_node()?;
+        self.load_bounds(&node.chain);
+        let stop = self.stop;
+        let mut outcome = match &node.basis {
+            Some(snap) => self.ws.warm_solve(snap, budget, stop),
+            None => self.ws.solve_root(budget, stop),
+        };
+        let mut chain = node.chain;
+
+        loop {
+            match outcome {
+                Ok(RelaxOutcome::Optimal) => {}
+                Ok(RelaxOutcome::Infeasible) => return Ok(()),
+                Ok(RelaxOutcome::Unbounded) => return Err(Halt::Failed(SolveError::Unbounded)),
+                // A relaxation cut short by the stop signal leaves its node
+                // open at the pop-time bound, exactly like a stop between
+                // nodes.
+                Err(LpError::Stopped) => return Err(Halt::Stopped),
+                Err(LpError::IterationLimit(_)) => {
+                    return Err(Halt::Failed(SolveError::SimplexLimit(budget)))
+                }
+                Err(LpError::Numerical { constraint }) => {
+                    return Err(Halt::Failed(SolveError::Numerical(constraint)))
+                }
+            }
+            let obj = self.ws.objective_internal();
+            let inc = self.incumbent_key();
+            if obj >= inc - tol {
+                return Ok(()); // pruned by bound
+            }
+            let x = self.ws.extract_x();
+
+            // Most fractional integer variable.
+            let mut branch_var: Option<(usize, f64)> = None;
+            let mut best_frac = tol;
+            for &i in &self.int_vars {
+                let v = x[i];
+                let frac = (v - v.round()).abs();
+                if frac > best_frac {
+                    best_frac = frac;
+                    branch_var = Some((i, v));
+                }
+            }
+            let Some((bv, v)) = branch_var else {
+                return self.offer_integral(x);
+            };
+
+            // Reduced-cost fixing: nonbasic 0/1 variables whose reduced cost
+            // exceeds the gap can never flip in this subtree.
+            let mut fixes: Vec<(u32, f64, f64)> = Vec::new();
+            if inc.is_finite() {
+                let gap = inc - tol - obj;
+                for &i in &self.int_vars {
+                    if i == bv {
+                        continue;
+                    }
+                    let (lo, hi) = self.ws.bound_of(i);
+                    if hi - lo != 1.0 {
+                        continue; // only 0/1-range variables
+                    }
+                    match self.ws.status_of(i) {
+                        VStat::AtLower if self.ws.reduced_cost(i) > gap => {
+                            fixes.push((i as u32, lo, lo));
+                        }
+                        VStat::AtUpper if -self.ws.reduced_cost(i) > gap => {
+                            fixes.push((i as u32, hi, hi));
+                        }
+                        _ => {}
+                    }
+                }
+            }
+
+            let (lo_bv, hi_bv) = self.ws.bound_of(bv);
+            let floor = v.floor();
+            let ceil = v.ceil();
+            let down = (bv as u32, lo_bv, hi_bv.min(floor));
+            let up = (bv as u32, lo_bv.max(ceil), hi_bv);
+            // Dive toward the nearer child; push the other.
+            let (dive, push) = if v - floor <= ceil - v {
+                (down, up)
+            } else {
+                (up, down)
+            };
+            self.ws.snapshot_into(&mut self.snap);
+            let mut push_changes = fixes.clone();
+            push_changes.push(push);
+            self.push(Node {
+                chain: Some(Rc::new(Delta {
+                    parent: chain.clone(),
+                    changes: push_changes,
+                })),
+                basis: Some(Rc::from(&self.snap[..])),
+                bound: obj,
+            });
+
+            let mut dive_changes = fixes;
+            dive_changes.push(dive);
+            for &(var, lo, hi) in &dive_changes {
+                self.ws.set_bound(var as usize, lo, hi);
+            }
+            chain = Some(Rc::new(Delta {
+                parent: chain,
+                changes: dive_changes,
+            }));
+            self.claim_node()?;
+            outcome = self.ws.reoptimize(budget, stop);
+        }
+    }
+
+    /// Verifies an integer-feasible relaxation against the original rows
+    /// (the warm path skips the per-solve check) and offers it as the
+    /// incumbent.
+    fn offer_integral(&mut self, mut x: Vec<f64>) -> Result<(), Halt> {
+        let tol = self.opts.tolerance;
+        round_ints(&mut x, &self.int_vars);
+        for c in self.model.constraints() {
+            // Rounding each near-integral variable moves the row by up to
+            // Σ|coef|·tol on top of the LP feasibility slack; only a
+            // violation beyond both is numerical corruption.
+            let (mut maxc, mut sumc) = (1.0f64, 0.0f64);
+            for &(_, coef) in &c.expr.terms {
+                maxc = maxc.max(coef.abs());
+                sumc += coef.abs();
+            }
+            if !c.satisfied_by(&x, 1e-5 * maxc + tol * sumc) {
+                return Err(Halt::Failed(SolveError::Numerical(c.name.clone())));
+            }
+        }
+        // The incumbent key lives in the same perturbed minimization space
+        // as the relaxation bounds, so the search solves the perturbed MILP
+        // *exactly* (tie nodes prune). Reported objectives are re-evaluated
+        // on the original expression at the end.
+        let key = self.ws.perturbed_objective_of(&x);
+        let improves = self
+            .incumbent
+            .as_ref()
+            .is_none_or(|(cur, _)| key < cur - tol);
+        if improves {
+            let optimal = self.meets_root_bound(&x);
+            self.incumbent = Some((key, x));
+            if optimal {
+                return Err(Halt::RootBound);
+            }
+        }
+        Ok(())
     }
 }
 
-/// Solves the mixed 0/1-integer program to proven optimality (or until the
-/// node limit, in which case the best incumbent is returned with
-/// [`Status::Feasible`]).
+/// Solves the mixed 0/1-integer program to proven optimality, or until the
+/// node limit or the caller's `stop` signal ends the search early. `stop`
+/// is polled before every node relaxation and every simplex pivot; pass
+/// `&|| false` to run to completion.
 ///
 /// Optimality is proven against an internally perturbed objective (the
 /// anti-degeneracy device of [`crate::simplex`]); the returned solution is
@@ -568,12 +496,22 @@ impl<'a> Shared<'a> {
 /// partitioning models by a factor of ~10⁷). The reported `objective` is
 /// always evaluated on the original expression.
 ///
+/// A search ended by the node limit returns its best incumbent with
+/// [`Status::Feasible`]; one ended by `stop` returns it with
+/// [`Status::Cancelled`]. Either way [`Solution::bound`] is the tightest
+/// relaxation bound still open at that moment.
+///
 /// # Errors
 ///
 /// See [`SolveError`]; in particular [`SolveError::Infeasible`] when no
-/// integral assignment satisfies the constraints.
-pub fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, SolveError> {
-    let t0 = Instant::now();
+/// integral assignment satisfies the constraints, and
+/// [`SolveError::Cancelled`] when `stop` fired before any incumbent was
+/// found.
+pub fn solve(
+    model: &Model,
+    opts: &SolveOptions,
+    stop: &dyn Fn() -> bool,
+) -> Result<Solution, SolveError> {
     model.validate()?;
     let n = model.var_count();
     let int_vars: Vec<usize> = (0..n)
@@ -588,12 +526,7 @@ pub fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, SolveError>
         .map(|i| model.var_bounds(crate::model::Var(i as u32)))
         .collect();
 
-    // The caller's proven bound, in the internal minimization key space.
-    let root_key = opts
-        .root_bound
-        .map(|rb| if model.objective().is_max() { -rb } else { rb });
-
-    let mut warm_best: Option<(f64, Vec<f64>)> = None;
+    let mut incumbent = None;
     if let Some(warm) = &opts.warm_incumbent {
         let viol = model.violations(warm, opts.tolerance.max(1e-6));
         if !viol.is_empty() {
@@ -601,329 +534,101 @@ pub fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, SolveError>
         }
         let mut x = warm.clone();
         round_ints(&mut x, &int_vars);
-        // Keyed in the perturbed space like every other incumbent (the
-        // perturbation is a pure function of the model, so every worker's
-        // workspace agrees on it).
-        let k = Workspace::new(model).perturbed_objective_of(&x);
-        warm_best = Some((k, x));
+        // Keyed in the perturbed space like every other incumbent. The
+        // perturbation is a pure function of the model, so a scratch
+        // workspace gives the search's key. The search allocates its own
+        // workspace after this one is freed: reusing this one made
+        // e2ebench's `dct-paper` synth and explore ~13% slower on a 2-vCPU
+        // Xeon with identical node and pivot counts (cause unverified;
+        // likely memory layout).
+        incumbent = Some((Workspace::new(model).perturbed_objective_of(&x), x));
     }
 
-    let shared = Shared {
+    let mut search = Search {
         model,
         opts,
+        stop,
         int_vars,
         root_bounds,
-        queue: Mutex::new(Queue {
-            heap: BinaryHeap::new(),
-            active: 0,
-            aborted: false,
-            seq: 0,
-            in_flight: Vec::new(),
-        }),
-        cv: Condvar::new(),
-        incumbent_key: AtomicF64::new(warm_best.as_ref().map_or(f64::INFINITY, |(k, _)| *k)),
-        incumbent: Mutex::new(warm_best),
-        root_key,
-        nodes: AtomicUsize::new(0),
-        node_limit_hit: AtomicBool::new(false),
-        cancel_hit: AtomicBool::new(false),
-        root_bound_hit: AtomicBool::new(false),
-        stop_bound: Mutex::new(None),
-        error: Mutex::new(None),
+        // The caller's proven bound, in the internal minimization key space.
+        root_key: opts
+            .root_bound
+            .map(|rb| if model.objective().is_max() { -rb } else { rb }),
+        heap: BinaryHeap::new(),
+        seq: 0,
+        incumbent,
+        nodes: 0,
+        ws: Workspace::new(model),
+        bounds: Vec::new(),
+        links: Vec::new(),
+        snap: Vec::new(),
     };
     // A warm incumbent that already meets the proven root bound makes the
     // whole tree redundant: never open the root, prove optimality at zero
-    // nodes. Judged on the *original* objective — the root bound is a
-    // statement about the model, not about the perturbed key space.
-    let warm_meets_root = match (
-        root_key,
-        shared.incumbent.lock().expect("incumbent lock").as_ref(),
-    ) {
-        (Some(rk), Some((_, x))) => {
-            let o = model.objective().expr().eval(x);
-            let omin = if model.objective().is_max() { -o } else { o };
-            omin <= rk + opts.tolerance
-        }
-        _ => false,
-    };
+    // nodes.
+    let warm_meets_root = search
+        .incumbent
+        .as_ref()
+        .is_some_and(|(_, x)| search.meets_root_bound(x));
     if !warm_meets_root {
-        shared.push_node(Node {
+        search.push(Node {
             chain: None,
             basis: None,
             bound: f64::NEG_INFINITY,
         });
     }
 
-    let jobs = opts.jobs.max(1);
-    let stats = if jobs <= 1 {
-        worker(&shared)
-    } else {
-        let collected: Mutex<WorkerStats> = Mutex::new(WorkerStats::default());
-        let mut pool = scoped_threadpool::Pool::new(jobs);
-        pool.scoped(|scope| {
-            for _ in 0..jobs {
-                scope.execute(|| {
-                    let local = worker(&shared);
-                    let mut total = collected.lock().expect("stats lock");
-                    total.pivots += local.pivots;
-                    total.cold_solves += local.cold_solves;
-                });
-            }
+    let mut halt = None;
+    let mut stop_bound = f64::INFINITY;
+    while let Some(HeapNode { node, .. }) = search.heap.pop() {
+        let popped = node.bound;
+        if let Err(h) = search.process_subtree(node) {
+            // The tightest still-open relaxation bound: the heap frontier
+            // plus the node being processed, whose pop-time bound stays
+            // valid because a dive only tightens it.
+            stop_bound = search
+                .heap
+                .iter()
+                .map(|hn| hn.node.bound)
+                .fold(popped, f64::min);
+            halt = Some(h);
+            break;
+        }
+    }
+    let status = match halt {
+        Some(Halt::Failed(e)) => return Err(e),
+        Some(Halt::Stopped) => Status::Cancelled,
+        Some(Halt::NodeLimit) => Status::Feasible,
+        Some(Halt::RootBound) | None => Status::Optimal,
+    };
+    let Some((key, x)) = search.incumbent else {
+        return Err(match status {
+            Status::Cancelled => SolveError::Cancelled,
+            Status::Feasible => SolveError::NodeLimit(opts.max_nodes),
+            Status::Optimal => SolveError::Infeasible,
         });
-        collected.into_inner().expect("stats lock")
     };
-
-    if let Some(e) = shared.error.lock().expect("error lock").take() {
-        return Err(e);
+    // The proven bound is the stop-time frontier, clipped by the incumbent
+    // itself (an exhausted search proves the incumbent optimal) and never
+    // looser than the caller's proven root bound. Keys live in the
+    // internal minimization orientation; flip for max models.
+    let mut key_bound = stop_bound.min(key);
+    if let Some(rk) = search.root_key {
+        key_bound = key_bound.max(rk);
     }
-    // relaxed-ok: read after every worker has been joined by the scoped
-    // pool above — the join is a synchronization point, so this and the two
-    // loads below see the final values regardless of the load ordering.
-    let nodes = shared.nodes.load(Ordering::Relaxed);
-    let hit_limit = shared.node_limit_hit.load(Ordering::Relaxed); // relaxed-ok: post-join
-    let hit_cancel = shared.cancel_hit.load(Ordering::Relaxed); // relaxed-ok: post-join
-    let stop_bound = shared.stop_bound.lock().expect("bound lock").take();
-    let best = shared.incumbent.lock().expect("incumbent lock").take();
-    match best {
-        Some((key, x)) => {
-            // The proven bound is the tightest still-open frontier bound at
-            // abort time, clipped by the incumbent itself (an exhausted
-            // search proves the incumbent optimal) and never looser than
-            // the caller's proven root bound. Keys live in the internal
-            // minimization orientation; flip for max models.
-            let mut key_bound = stop_bound.unwrap_or(f64::INFINITY).min(key);
-            if let Some(rk) = root_key {
-                key_bound = key_bound.max(rk);
-            }
-            Ok(Solution {
-                objective: model.objective().expr().eval(&x),
-                bound: if model.objective().is_max() {
-                    -key_bound
-                } else {
-                    key_bound
-                },
-                x,
-                nodes,
-                pivots: stats.pivots,
-                cold_solves: stats.cold_solves,
-                wall: t0.elapsed(),
-                status: if hit_cancel {
-                    Status::Cancelled
-                } else if hit_limit {
-                    Status::Feasible
-                } else {
-                    Status::Optimal
-                },
-            })
-        }
-        None => {
-            if hit_cancel {
-                Err(SolveError::Cancelled)
-            } else if hit_limit {
-                Err(SolveError::NodeLimit(opts.max_nodes))
-            } else {
-                Err(SolveError::Infeasible)
-            }
-        }
-    }
-}
-
-#[derive(Default)]
-struct WorkerStats {
-    pivots: usize,
-    cold_solves: usize,
-}
-
-/// One worker: pop best-bound nodes, dive each subtree in place.
-fn worker(shared: &Shared<'_>) -> WorkerStats {
-    let mut ws = Workspace::new(shared.model);
-    let mut scratch = NodeScratch::default();
-    while let Some(node) = shared.pop_node() {
-        let bound = node.bound;
-        process_subtree(shared, &mut ws, &mut scratch, node);
-        shared.finish_node(bound);
-    }
-    WorkerStats {
-        pivots: ws.iterations(),
-        cold_solves: ws.cold_starts(),
-    }
-}
-
-/// Per-worker reusable staging for node materialization: the bound vector,
-/// the chain-walk stack, and the basis-snapshot bytes. Cleared per node,
-/// never reallocated once warm.
-#[derive(Default)]
-struct NodeScratch {
-    bounds: Vec<(f64, f64)>,
-    links: Vec<Arc<Delta>>,
-    snap: Vec<u8>,
-}
-
-/// Solves `node` and dives: branch, re-optimize the nearer child in place,
-/// push the sibling. Errors are recorded in the shared state.
-fn process_subtree(shared: &Shared<'_>, ws: &mut Workspace, scratch: &mut NodeScratch, node: Node) {
-    let tol = shared.opts.tolerance;
-    // Bound-prune at pop time: the incumbent may have improved since push.
-    if node.bound >= shared.incumbent_key() - tol {
-        return;
-    }
-    if !shared.claim_node() {
-        return;
-    }
-    shared.bounds_into(&node.chain, scratch);
-    ws.set_bounds_full(&scratch.bounds);
-    let mut outcome = match &node.basis {
-        Some(snap) => ws.warm_solve(snap, shared.opts.max_simplex_iters),
-        None => ws.solve_root(shared.opts.max_simplex_iters),
-    };
-    let mut chain = node.chain;
-
-    loop {
-        let relax = match outcome {
-            Ok(r) => r,
-            Err(LpError::IterationLimit(_)) => {
-                shared.record_error(SolveError::SimplexLimit(shared.opts.max_simplex_iters));
-                return;
-            }
-            Err(LpError::Numerical { constraint }) => {
-                shared.record_error(SolveError::Numerical(constraint));
-                return;
-            }
-        };
-        match relax {
-            RelaxOutcome::Infeasible => return,
-            RelaxOutcome::Unbounded => {
-                shared.record_error(SolveError::Unbounded);
-                return;
-            }
-            RelaxOutcome::Optimal => {}
-        }
-        let obj = ws.objective_internal();
-        let inc = shared.incumbent_key();
-        if obj >= inc - tol {
-            return; // pruned by bound
-        }
-        let x = ws.extract_x();
-
-        // Most fractional integer variable.
-        let mut branch_var: Option<(usize, f64)> = None;
-        let mut best_frac = tol;
-        for &i in &shared.int_vars {
-            let v = x[i];
-            let frac = (v - v.round()).abs();
-            if frac > best_frac {
-                best_frac = frac;
-                branch_var = Some((i, v));
-            }
-        }
-        let Some((bv, v)) = branch_var else {
-            // Integer feasible: verify against the original rows (the warm
-            // path skips the per-solve check) and offer as incumbent.
-            let mut xi = x;
-            round_ints(&mut xi, &shared.int_vars);
-            for c in shared.model.constraints() {
-                // Rounding each near-integral variable moves the row by up
-                // to Σ|coef|·tol on top of the LP feasibility slack; only a
-                // violation beyond both is numerical corruption.
-                let (mut maxc, mut sumc) = (1.0f64, 0.0f64);
-                for &(_, coef) in &c.expr.terms {
-                    maxc = maxc.max(coef.abs());
-                    sumc += coef.abs();
-                }
-                if !c.satisfied_by(&xi, 1e-5 * maxc + tol * sumc) {
-                    shared.record_error(SolveError::Numerical(c.name.clone()));
-                    return;
-                }
-            }
-            // The incumbent key lives in the same perturbed minimization
-            // space as the relaxation bounds, so the search solves the
-            // perturbed MILP *exactly* (tie nodes prune; any job count
-            // proves the same perturbed optimum). Reported objectives are
-            // re-evaluated on the original expression at the end.
-            let k = ws.perturbed_objective_of(&xi);
-            let o = shared.model.objective().expr().eval(&xi);
-            if shared.offer_incumbent(k, xi) {
-                // An incumbent meeting the caller's proven root bound is
-                // optimal — no open node can beat a proven bound. Stop the
-                // search without raising the limit/cancel flags so the
-                // result reports `Status::Optimal`.
-                if let Some(rk) = shared.root_key {
-                    let omin = if shared.model.objective().is_max() {
-                        -o
-                    } else {
-                        o
-                    };
-                    if omin <= rk + tol {
-                        shared.abort_search(&shared.root_bound_hit);
-                    }
-                }
-            }
-            return;
-        };
-
-        // Reduced-cost fixing: nonbasic 0/1 variables whose reduced cost
-        // exceeds the gap can never flip in this subtree.
-        let mut fixes: Vec<(u32, f64, f64)> = Vec::new();
-        if inc.is_finite() {
-            let gap = inc - tol - obj;
-            for &i in &shared.int_vars {
-                if i == bv {
-                    continue;
-                }
-                let (lo, hi) = ws.bound_of(i);
-                if hi - lo != 1.0 {
-                    continue; // only 0/1-range variables
-                }
-                match ws.status_of(i) {
-                    VStat::AtLower if ws.reduced_cost(i) > gap => {
-                        fixes.push((i as u32, lo, lo));
-                    }
-                    VStat::AtUpper if -ws.reduced_cost(i) > gap => {
-                        fixes.push((i as u32, hi, hi));
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        let (lo_bv, hi_bv) = ws.bound_of(bv);
-        let floor = v.floor();
-        let ceil = v.ceil();
-        let down = (bv as u32, lo_bv, hi_bv.min(floor));
-        let up = (bv as u32, lo_bv.max(ceil), hi_bv);
-        // Dive toward the nearer child; push the other.
-        let (dive, push) = if v - floor <= ceil - v {
-            (down, up)
+    Ok(Solution {
+        objective: model.objective().expr().eval(&x),
+        bound: if model.objective().is_max() {
+            -key_bound
         } else {
-            (up, down)
-        };
-        ws.snapshot_into(&mut scratch.snap);
-        let snapshot: Arc<[u8]> = Arc::from(&scratch.snap[..]);
-        let mut push_changes = fixes.clone();
-        push_changes.push(push);
-        shared.push_node(Node {
-            chain: Some(Arc::new(Delta {
-                parent: chain.clone(),
-                changes: push_changes,
-            })),
-            basis: Some(snapshot),
-            bound: obj,
-        });
-
-        let mut dive_changes = fixes;
-        dive_changes.push(dive);
-        for &(var, lo, hi) in &dive_changes {
-            ws.set_bound(var as usize, lo, hi);
-        }
-        chain = Some(Arc::new(Delta {
-            parent: chain,
-            changes: dive_changes,
-        }));
-        if !shared.claim_node() {
-            return;
-        }
-        outcome = ws.reoptimize(shared.opts.max_simplex_iters);
-    }
+            key_bound
+        },
+        x,
+        nodes: search.nodes,
+        pivots: search.ws.iterations(),
+        cold_solves: search.ws.cold_starts(),
+        status,
+    })
 }
 
 fn round_ints(x: &mut [f64], int_vars: &[usize]) {
@@ -936,9 +641,10 @@ fn round_ints(x: &mut [f64], int_vars: &[usize]) {
 mod tests {
     use super::*;
     use crate::model::{Model, Sense, Var};
+    use std::cell::Cell;
 
     fn solve_default(m: &Model) -> Solution {
-        solve(m, &SolveOptions::default()).unwrap()
+        solve(m, &SolveOptions::default(), &|| false).unwrap()
     }
 
     #[test]
@@ -994,7 +700,7 @@ mod tests {
         m.add_constraint("b", [(x, 1.0)], Sense::Le, 0.0);
         m.add_constraint("c", [(y, 1.0)], Sense::Le, 0.0);
         assert_eq!(
-            solve(&m, &SolveOptions::default()).unwrap_err(),
+            solve(&m, &SolveOptions::default(), &|| false).unwrap_err(),
             SolveError::Infeasible
         );
     }
@@ -1006,7 +712,7 @@ mod tests {
         let x = m.add_integer("x", 0.0, 10.0);
         m.add_constraint("odd", [(x, 2.0)], Sense::Eq, 1.0);
         assert_eq!(
-            solve(&m, &SolveOptions::default()).unwrap_err(),
+            solve(&m, &SolveOptions::default(), &|| false).unwrap_err(),
             SolveError::Infeasible
         );
     }
@@ -1017,7 +723,7 @@ mod tests {
         let x = m.add_integer("x", 0.0, f64::INFINITY);
         m.set_objective_max([(x, 1.0)]);
         assert_eq!(
-            solve(&m, &SolveOptions::default()).unwrap_err(),
+            solve(&m, &SolveOptions::default(), &|| false).unwrap_err(),
             SolveError::Unbounded
         );
     }
@@ -1038,6 +744,7 @@ mod tests {
                 warm_incumbent: Some(warm),
                 ..SolveOptions::default()
             },
+            &|| false,
         )
         .unwrap();
         assert!((s.objective - 3.0).abs() < 1e-6);
@@ -1054,6 +761,7 @@ mod tests {
                 warm_incumbent: Some(vec![1.0]),
                 ..SolveOptions::default()
             },
+            &|| false,
         )
         .unwrap_err();
         assert!(matches!(err, SolveError::BadWarmStart(_)));
@@ -1075,6 +783,7 @@ mod tests {
                 warm_incumbent: Some(warm),
                 ..SolveOptions::default()
             },
+            &|| false,
         )
         .unwrap();
         assert_eq!(s.status, Status::Feasible);
@@ -1121,10 +830,10 @@ mod tests {
         assert_eq!(s.x[x.index()], 1.0);
     }
 
-    /// A 12-item knapsack with correlated profits — enough tree for the
-    /// parallel path to actually share work.
+    /// A 12-item knapsack with correlated profits — enough tree for a
+    /// stop signal to land at many different depths.
     fn chunky_knapsack() -> Model {
-        let mut m = Model::new("par");
+        let mut m = Model::new("chunky");
         let vars: Vec<Var> = (0..12).map(|i| m.add_binary(format!("x{i}"))).collect();
         let w = [
             13.0, 7.0, 11.0, 5.0, 17.0, 3.0, 9.0, 15.0, 4.0, 8.0, 6.0, 12.0,
@@ -1143,31 +852,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_jobs_prove_the_same_objective() {
-        let m = chunky_knapsack();
-        let serial = solve_default(&m);
-        assert_eq!(serial.status, Status::Optimal);
-        for jobs in [2, 4] {
-            let par = solve(
-                &m,
-                &SolveOptions {
-                    jobs,
-                    ..SolveOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(par.status, Status::Optimal, "jobs = {jobs}");
-            assert!(
-                (par.objective - serial.objective).abs() < 1e-6,
-                "jobs = {jobs}: {} vs {}",
-                par.objective,
-                serial.objective
-            );
-            assert!(m.violations(&par.x, 1e-6).is_empty());
-        }
-    }
-
-    #[test]
     fn serial_node_count_is_deterministic() {
         let m = chunky_knapsack();
         let a = solve_default(&m);
@@ -1180,17 +864,15 @@ mod tests {
     #[test]
     fn cancelled_solve_returns_the_warm_incumbent_and_a_bound() {
         let m = chunky_knapsack();
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        // All-zero is feasible for the knapsack: the pre-cancelled search
-        // must hand it back untouched instead of erroring out.
+        // All-zero is feasible for the knapsack: a search stopped before
+        // its first node must hand it back untouched instead of erroring.
         let s = solve(
             &m,
             &SolveOptions {
                 warm_incumbent: Some(vec![0.0; 12]),
-                cancel: Some(cancel),
                 ..SolveOptions::default()
             },
+            &|| true,
         )
         .unwrap();
         assert_eq!(s.status, Status::Cancelled);
@@ -1204,33 +886,69 @@ mod tests {
     #[test]
     fn cancelled_solve_without_incumbent_errors() {
         let m = chunky_knapsack();
-        let s = solve(
-            &m,
-            &SolveOptions {
-                deadline: Some(Instant::now() - Duration::from_millis(1)),
-                ..SolveOptions::default()
-            },
-        );
+        let s = solve(&m, &SolveOptions::default(), &|| true);
         assert_eq!(s.unwrap_err(), SolveError::Cancelled);
     }
 
     #[test]
     fn uncancelled_token_does_not_perturb_the_search() {
+        // A stop signal that never fires is polled before every node and
+        // every pivot, and changes nothing else.
         let m = chunky_knapsack();
         let baseline = solve_default(&m);
-        let s = solve(
-            &m,
-            &SolveOptions {
-                cancel: Some(CancelToken::new()),
-                deadline: Some(Instant::now() + Duration::from_secs(3600)),
-                ..SolveOptions::default()
-            },
-        )
+        let polls = Cell::new(0usize);
+        let s = solve(&m, &SolveOptions::default(), &|| {
+            polls.set(polls.get() + 1);
+            false
+        })
         .unwrap();
         assert_eq!(s.status, Status::Optimal);
         assert_eq!(s.objective, baseline.objective);
-        assert_eq!(s.nodes, baseline.nodes);
+        assert_eq!((s.nodes, s.pivots), (baseline.nodes, baseline.pivots));
+        assert!(
+            polls.get() >= s.nodes + s.pivots,
+            "polled per node and pivot"
+        );
         assert!((s.bound - s.objective).abs() < 1e-5, "optimal proves bound");
+    }
+
+    #[test]
+    fn stopping_on_poll_k_returns_a_sound_incumbent_and_bound() {
+        // Firing the stop signal on its k-th poll ends the search before
+        // node k, between nodes or inside a relaxation. Whatever the search
+        // holds by then is feasible and no better than the optimum, and the
+        // reported bound still covers the optimum (this is a max model:
+        // objective ≤ optimum ≤ bound).
+        let m = chunky_knapsack();
+        let optimum = solve_default(&m).objective;
+        let mut mid_search_bounds = 0;
+        for k in 1..40 {
+            let polls = Cell::new(0usize);
+            let stop = || {
+                polls.set(polls.get() + 1);
+                polls.get() >= k
+            };
+            match solve(&m, &SolveOptions::default(), &stop) {
+                Ok(s) => {
+                    assert!(s.nodes <= k, "k = {k}: {} nodes", s.nodes);
+                    assert!(m.violations(&s.x, 1e-6).is_empty(), "k = {k}");
+                    assert!(s.objective <= optimum + 1e-6, "k = {k}");
+                    assert!(
+                        optimum <= s.bound + 1e-5,
+                        "k = {k}: bound {} below the optimum {optimum}",
+                        s.bound
+                    );
+                    if s.status == Status::Cancelled && s.bound.is_finite() {
+                        mid_search_bounds += 1;
+                    }
+                }
+                Err(e) => assert_eq!(e, SolveError::Cancelled, "k = {k}"),
+            }
+        }
+        assert!(
+            mid_search_bounds > 0,
+            "some stop must land after the first dive, with a finite frontier"
+        );
     }
 
     #[test]
@@ -1244,6 +962,7 @@ mod tests {
                 root_bound: Some(baseline.objective),
                 ..SolveOptions::default()
             },
+            &|| false,
         )
         .unwrap();
         assert_eq!(s.status, Status::Optimal);
@@ -1268,6 +987,7 @@ mod tests {
                 root_bound: Some(baseline.objective),
                 ..SolveOptions::default()
             },
+            &|| false,
         )
         .unwrap();
         assert_eq!(s.status, Status::Optimal);
@@ -1282,16 +1002,14 @@ mod tests {
         // never explored), so without a root bound the reported bound is
         // +inf for this max model; the injected proven bound replaces it.
         let m = chunky_knapsack();
-        let cancel = CancelToken::new();
-        cancel.cancel();
         let s = solve(
             &m,
             &SolveOptions {
                 warm_incumbent: Some(vec![0.0; 12]),
-                cancel: Some(cancel),
                 root_bound: Some(250.0),
                 ..SolveOptions::default()
             },
+            &|| true,
         )
         .unwrap();
         assert_eq!(s.status, Status::Cancelled);
@@ -1311,6 +1029,7 @@ mod tests {
                 root_bound: Some(1e6),
                 ..SolveOptions::default()
             },
+            &|| false,
         )
         .unwrap();
         assert_eq!(s.status, Status::Optimal);
@@ -1320,26 +1039,11 @@ mod tests {
     }
 
     #[test]
-    fn cancel_tokens_chain_through_children() {
-        let parent = CancelToken::new();
-        let child = parent.child();
-        let sibling = parent.child();
-        assert!(!child.is_cancelled());
-        child.cancel();
-        assert!(child.is_cancelled());
-        assert!(!parent.is_cancelled(), "children never cancel upward");
-        assert!(!sibling.is_cancelled());
-        parent.cancel();
-        assert!(sibling.is_cancelled(), "parents cancel every child");
-    }
-
-    #[test]
     fn stats_are_populated() {
         let m = chunky_knapsack();
         let s = solve_default(&m);
         assert!(s.nodes >= 1);
         assert!(s.pivots >= 1);
         assert_eq!(s.cold_solves, 1, "warm starts everywhere but the root");
-        assert!(s.wall > Duration::ZERO);
     }
 }

@@ -145,7 +145,7 @@ mod tests {
             }
 
             let oracle = brute_force(&m, 1e-7).unwrap();
-            let bb = solve(&m, &SolveOptions::default());
+            let bb = solve(&m, &SolveOptions::default(), &|| false);
             match (oracle, bb) {
                 (EnumOutcome::Infeasible, Err(SolveError::Infeasible)) => {}
                 (EnumOutcome::Optimal { objective, .. }, Ok(sol)) => {

@@ -22,9 +22,10 @@
 //!   re-optimize from a warm basis after bound changes in a handful of
 //!   pivots.
 //! * [`branch`] — warm-started branch-and-bound: best-bound/dive hybrid
-//!   search, parent-pointer bound deltas, reduced-cost fixing, optional
-//!   subtree-parallel workers sharing one incumbent. Phase 1 runs once at
-//!   the root, never per node.
+//!   search, parent-pointer bound deltas, reduced-cost fixing. It runs on
+//!   the calling thread, deterministic node for node, and stops only when
+//!   the caller's `stop` signal fires. Phase 1 runs once at the root, never
+//!   per node.
 //! * [`enumerate`] — an exponential 0/1 enumeration solver used as a test
 //!   oracle on tiny models.
 //!
@@ -49,7 +50,7 @@
 //!     50.0,
 //! );
 //! m.set_objective_max(vars.iter().zip(&items).map(|(&v, &(_, p))| (v, p)));
-//! let sol = sparcs_ilp::solve(&m, &SolveOptions::default())?;
+//! let sol = sparcs_ilp::solve(&m, &SolveOptions::default(), &|| false)?;
 //! assert!((sol.objective - 220.0).abs() < 1e-6);
 //! # Ok(())
 //! # }
@@ -66,6 +67,6 @@ pub mod model;
 pub mod simplex;
 pub mod sparse;
 
-pub use branch::{solve, CancelToken, Solution, SolveError, SolveOptions, Status};
+pub use branch::{solve, Solution, SolveError, SolveOptions, Status};
 pub use model::{Constraint, LinExpr, Model, ModelError, Objective, Sense, Var, VarKind};
 pub use simplex::{LpOutcome, LpSolution};

@@ -79,6 +79,9 @@ pub enum LpOutcome {
 pub enum LpError {
     /// The iteration budget was exhausted before convergence.
     IterationLimit(usize),
+    /// The caller's stop signal fired before convergence (only the
+    /// branch-and-bound passes one; [`solve_lp`] never stops early).
+    Stopped,
     /// The computed basic solution failed the post-solve feasibility check —
     /// numerical corruption was detected rather than silently returned.
     Numerical {
@@ -91,6 +94,7 @@ impl fmt::Display for LpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LpError::IterationLimit(n) => write!(f, "simplex iteration limit {n} exceeded"),
+            LpError::Stopped => write!(f, "simplex stopped by the caller"),
             LpError::Numerical { constraint } => {
                 write!(f, "numerical failure: solution violates `{constraint}`")
             }
@@ -132,7 +136,7 @@ pub fn solve_lp_with_bounds(
     assert_eq!(bounds.len(), model.var_count(), "one bound pair per var");
     let mut ws = Workspace::new(model);
     ws.set_bounds_full(bounds);
-    let outcome = ws.solve_root(max_iters)?;
+    let outcome = ws.solve_root(max_iters, &|| false)?;
     Ok(match outcome {
         RelaxOutcome::Infeasible => LpOutcome::Infeasible,
         RelaxOutcome::Unbounded => LpOutcome::Unbounded,
@@ -209,7 +213,7 @@ enum CostKind {
 
 /// The warm-startable solver state for one model: sparse standard form,
 /// factorized basis, current bounds/values/duals. One workspace serves many
-/// solves — branch-and-bound workers reuse it across nodes, changing only
+/// solves — the branch-and-bound reuses it across nodes, changing only
 /// bounds (and the basis snapshot when jumping subtrees).
 pub(crate) struct Workspace {
     m: usize,
@@ -440,7 +444,7 @@ impl Workspace {
 
     /// Serializes the basis into a reusable buffer (cleared first) —
     /// branch-and-bound snapshots every node, so the staging buffer lives
-    /// with the worker, not with the call.
+    /// with the search, not with the call.
     pub(crate) fn snapshot_into(&self, out: &mut Vec<u8>) {
         out.clear();
         out.extend(self.vstat.iter().map(|&s| s as u8)); // cast-ok: VStat is a fieldless enum with < 256 variants
@@ -637,8 +641,13 @@ impl Workspace {
 
     /// Solves from scratch under the current bounds: a dual-feasible slack
     /// basis when the costs admit one (no phase 1 at all), otherwise the
-    /// classic primal phase-1/phase-2 sequence with artificials.
-    pub(crate) fn solve_root(&mut self, budget: usize) -> Result<RelaxOutcome, LpError> {
+    /// classic primal phase-1/phase-2 sequence with artificials. `stop` is
+    /// polled before every pivot, here and in the other entry points.
+    pub(crate) fn solve_root(
+        &mut self,
+        budget: usize,
+        stop: &dyn Fn() -> bool,
+    ) -> Result<RelaxOutcome, LpError> {
         self.cold_starts += 1;
         for j in 0..self.n {
             if self.lo[j] > self.hi[j] + EPS {
@@ -648,8 +657,8 @@ impl Workspace {
         let mut left = budget;
         if self.try_dual_feasible_start() {
             let out = self
-                .dual_simplex(&mut left)
-                .map_err(|_| budget_err(budget))?;
+                .dual_simplex(&mut left, stop)
+                .map_err(|e| budget_err(e, budget))?;
             return Ok(out);
         }
 
@@ -692,7 +701,7 @@ impl Workspace {
         self.xb = resid;
         self.rebuild_nonbasic();
         self.sync_basic_bounds();
-        match self.primal_simplex(CostKind::Phase1, &mut left) {
+        match self.primal_simplex(CostKind::Phase1, &mut left, stop) {
             Ok(StepOutcome::Optimal) => {}
             Ok(StepOutcome::Ray) => {
                 // Phase 1 is bounded below by zero; an unbounded ray can
@@ -701,7 +710,7 @@ impl Workspace {
                     constraint: "phase-1 objective".into(),
                 });
             }
-            Err(_) => return Err(budget_err(budget)),
+            Err(e) => return Err(budget_err(e, budget)),
         }
         let infeas: f64 = self
             .basic
@@ -727,10 +736,10 @@ impl Workspace {
         }
 
         // ---- phase 2: the real objective ----------------------------------
-        match self.primal_simplex(CostKind::Phase2, &mut left) {
+        match self.primal_simplex(CostKind::Phase2, &mut left, stop) {
             Ok(StepOutcome::Optimal) => Ok(RelaxOutcome::Optimal),
             Ok(StepOutcome::Ray) => Ok(RelaxOutcome::Unbounded),
-            Err(_) => Err(budget_err(budget)),
+            Err(e) => Err(budget_err(e, budget)),
         }
     }
 
@@ -781,6 +790,7 @@ impl Workspace {
         &mut self,
         snapshot: &[u8],
         budget: usize,
+        stop: &dyn Fn() -> bool,
     ) -> Result<RelaxOutcome, LpError> {
         debug_assert_eq!(snapshot.len(), self.n_total);
         for j in 0..self.n {
@@ -798,22 +808,27 @@ impl Workspace {
             }
         }
         if self.basic.len() != self.m || self.refactor().is_err() {
-            return self.solve_root(budget);
+            return self.solve_root(budget, stop);
         }
         // The snapshot's basis has nothing in common with whatever this
         // workspace held before: restart the steepest-edge reference.
         self.dse.iter_mut().for_each(|g| *g = 1.0);
         self.compute_duals(CostKind::Phase2);
         if !self.dual_feasible() {
-            return self.solve_root(budget);
+            return self.solve_root(budget, stop);
         }
         let mut left = budget;
-        self.dual_simplex(&mut left).map_err(|_| budget_err(budget))
+        self.dual_simplex(&mut left, stop)
+            .map_err(|e| budget_err(e, budget))
     }
 
     /// Re-optimizes in place after bound changes (the dive fast path: the
     /// factorization, values and duals carry over; only `x_B` is refreshed).
-    pub(crate) fn reoptimize(&mut self, budget: usize) -> Result<RelaxOutcome, LpError> {
+    pub(crate) fn reoptimize(
+        &mut self,
+        budget: usize,
+        stop: &dyn Fn() -> bool,
+    ) -> Result<RelaxOutcome, LpError> {
         for j in 0..self.n {
             if self.lo[j] > self.hi[j] + EPS {
                 return Ok(RelaxOutcome::Infeasible);
@@ -821,7 +836,8 @@ impl Workspace {
         }
         self.compute_xb();
         let mut left = budget;
-        self.dual_simplex(&mut left).map_err(|_| budget_err(budget))
+        self.dual_simplex(&mut left, stop)
+            .map_err(|e| budget_err(e, budget))
     }
 
     fn dual_feasible(&self) -> bool {
@@ -838,11 +854,19 @@ impl Workspace {
 
     // --- primal simplex -----------------------------------------------------
 
-    fn primal_simplex(&mut self, kind: CostKind, left: &mut usize) -> Result<StepOutcome, LpError> {
+    fn primal_simplex(
+        &mut self,
+        kind: CostKind,
+        left: &mut usize,
+        stop: &dyn Fn() -> bool,
+    ) -> Result<StepOutcome, LpError> {
         let mut stall = 0usize;
         loop {
             if *left == 0 {
                 return Err(LpError::IterationLimit(0));
+            }
+            if stop() {
+                return Err(LpError::Stopped);
             }
             self.compute_duals(kind);
             let bland = stall > STALL_LIMIT;
@@ -1007,13 +1031,20 @@ impl Workspace {
 
     // --- dual simplex -------------------------------------------------------
 
-    fn dual_simplex(&mut self, left: &mut usize) -> Result<RelaxOutcome, LpError> {
+    fn dual_simplex(
+        &mut self,
+        left: &mut usize,
+        stop: &dyn Fn() -> bool,
+    ) -> Result<RelaxOutcome, LpError> {
         let mut stall = 0usize;
         let mut bland = false;
         let mut retried_infeasible = false;
         loop {
             if *left == 0 {
                 return Err(LpError::IterationLimit(0));
+            }
+            if stop() {
+                return Err(LpError::Stopped);
             }
             // Once degeneracy trips the Bland rule, keep it for the rest of
             // the solve — alternating selection modes can itself cycle.
@@ -1317,8 +1348,13 @@ fn nearest_status(lo: f64, hi: f64) -> VStat {
     }
 }
 
-fn budget_err(budget: usize) -> LpError {
-    LpError::IterationLimit(budget)
+/// Reports an exhausted pivot loop against the caller's whole budget; a
+/// stop passes through unchanged.
+fn budget_err(e: LpError, budget: usize) -> LpError {
+    match e {
+        LpError::IterationLimit(_) => LpError::IterationLimit(budget),
+        other => other,
+    }
 }
 
 #[cfg(test)]
@@ -1575,7 +1611,10 @@ mod tests {
         m.set_objective_max(vars.iter().zip(&items).map(|(&v, &(_, p))| (v, p)));
         let mut ws = Workspace::new(&m);
         ws.set_bounds_full(&[(0.0, 1.0); 3]);
-        assert_eq!(ws.solve_root(ITERS).unwrap(), RelaxOutcome::Optimal);
+        assert_eq!(
+            ws.solve_root(ITERS, &|| false).unwrap(),
+            RelaxOutcome::Optimal
+        );
         let root_obj = ws.objective_internal();
         let mut snap = Vec::new();
         ws.snapshot_into(&mut snap);
@@ -1583,7 +1622,10 @@ mod tests {
 
         // Child: x2 <= 0.
         ws.set_bound(2, 0.0, 0.0);
-        assert_eq!(ws.warm_solve(&snap, ITERS).unwrap(), RelaxOutcome::Optimal);
+        assert_eq!(
+            ws.warm_solve(&snap, ITERS, &|| false).unwrap(),
+            RelaxOutcome::Optimal
+        );
         let warm_obj = ws.objective_internal();
         let warm_pivots = ws.iterations() - root_iters;
 
@@ -1614,10 +1656,16 @@ mod tests {
         m.set_objective_max([(x, 2.0), (y, 1.0)]);
         let mut ws = Workspace::new(&m);
         ws.set_bounds_full(&[(0.0, 10.0), (0.0, 10.0)]);
-        assert_eq!(ws.solve_root(ITERS).unwrap(), RelaxOutcome::Optimal);
+        assert_eq!(
+            ws.solve_root(ITERS, &|| false).unwrap(),
+            RelaxOutcome::Optimal
+        );
         assert!((ws.objective_internal() - -22.0).abs() < 1e-6); // x=10,y=2
         ws.set_bound(0, 0.0, 4.0);
-        assert_eq!(ws.reoptimize(ITERS).unwrap(), RelaxOutcome::Optimal);
+        assert_eq!(
+            ws.reoptimize(ITERS, &|| false).unwrap(),
+            RelaxOutcome::Optimal
+        );
         assert!((ws.objective_internal() - -16.0).abs() < 1e-6); // x=4,y=8
         let x_now = ws.extract_x();
         assert!((x_now[0] - 4.0).abs() < 1e-6);

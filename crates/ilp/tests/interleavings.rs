@@ -1,39 +1,37 @@
-//! Exhaustive interleaving checks for the three lock-free protocols the
+//! Exhaustive interleaving checks for the two lock-free protocols the
 //! workspace's concurrency rests on, modeled over the `interleave`
 //! deterministic explorer (every schedule up to the preemption bound is
 //! executed, so a passing test is a proof over that space, not a lucky
-//! run):
+//! run). The branch-and-bound itself is single-threaded and shares
+//! nothing; it sees cancellation only through the stop signal its caller
+//! derives from a `SearchCtx`.
 //!
-//! 1. **Cancellation chaining** (`branch.rs` `CancelToken`): a relaxed
-//!    store into a parent flag must be observed by every child checking
-//!    the ancestor chain after joining the canceller, and cancellation is
-//!    monotonic — once observed, never unobserved.
-//! 2. **Incumbent publication** (`branch.rs` `Shared::offer_incumbent`):
-//!    the mutex-guarded best solution and its atomically mirrored pruning
-//!    key can never end in a state where the mirror advertises a better
-//!    key than the actual incumbent (a stale mirror may only be *worse*,
-//!    which merely prunes less).
-//! 3. **Portfolio first-winner** (`strategy.rs` `Portfolio::partition`):
-//!    slot-per-entry collection makes the winner a pure function of the
-//!    outcome slots, so it is identical across all schedules, and the
-//!    decisive racer's cancel is visible to every loser that checks after
-//!    the winner published.
+//! 1. **Cancellation chaining** (`CancelToken` in
+//!    `crates/core/src/search.rs`): a relaxed store into a parent flag
+//!    must be observed by every child checking the ancestor chain after
+//!    joining the canceller, and cancellation is monotonic — once
+//!    observed, never unobserved.
+//! 2. **Portfolio first-winner** (`Portfolio::partition` in
+//!    `src/strategy.rs`): slot-per-entry collection makes the winner a
+//!    pure function of the outcome slots, so it is identical across all
+//!    schedules, and the decisive racer's cancel is visible to every loser
+//!    that checks after the winner published.
 //!
 //! The models rebuild each protocol skeleton from `interleave` shims —
 //! same operations, same orderings (`Relaxed` everywhere, as in
 //! production) — rather than linking the production types, because the
 //! production atomics are real `std` atomics the explorer cannot
-//! schedule. Each model is annotated with the production lines it
+//! schedule. Each model is annotated with the production code it
 //! mirrors.
 
-use interleave::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use interleave::sync::atomic::{AtomicBool, AtomicUsize};
 use interleave::sync::Mutex;
 use interleave::{thread, Builder, Ordering};
 use std::sync::Arc;
 
 /// Model of `CancelToken`: a parent flag plus per-child flags, with
 /// `is_cancelled` walking the ancestor chain exactly like
-/// `branch.rs::CancelToken::is_cancelled`.
+/// `search.rs::CancelToken::is_cancelled`.
 struct TokenModel {
     flag: AtomicBool,
     parent: Option<Arc<TokenModel>>,
@@ -55,12 +53,12 @@ impl TokenModel {
     }
 
     fn cancel(&self) {
-        // branch.rs:80 — a single relaxed store.
+        // search.rs `CancelToken::cancel` — a single relaxed store.
         self.flag.store(true, Ordering::Relaxed);
     }
 
     fn is_cancelled(&self) -> bool {
-        // branch.rs:84-93 — walk the ancestor chain.
+        // search.rs `CancelToken::is_cancelled` — walk the ancestor chain.
         let mut cur = Some(self);
         while let Some(t) = cur {
             if t.flag.load(Ordering::Relaxed) {
@@ -82,7 +80,7 @@ fn cancel_token_chain_never_loses_a_cancellation() {
         let root = TokenModel::root();
         let (a, b) = (root.child(), root.child());
 
-        // Two workers poll their own tokens (as B&B workers do between
+        // Two racers poll their own tokens (as racing searches do between
         // node relaxations) and remember the last thing they saw.
         let wa = {
             let a = Arc::clone(&a);
@@ -145,73 +143,10 @@ fn cancel_token_is_monotonic() {
     assert!(report.exhaustive, "exploration hit a cap");
 }
 
-/// Model of `Shared::offer_incumbent` (branch.rs:357-367): the true
-/// incumbent lives under a mutex; `incumbent_key` is a relaxed-mirrored
-/// copy used for cheap pruning. Keys are modeled as `u64` (the production
-/// key is an `f64` through `AtomicF64` bit transmutation; the ordering
-/// argument is identical). Smaller = better, matching minimization.
-struct IncumbentModel {
-    incumbent: Mutex<Option<u64>>,
-    mirror: AtomicU64,
-}
-
-impl IncumbentModel {
-    fn new() -> Self {
-        IncumbentModel {
-            incumbent: Mutex::new(None),
-            mirror: AtomicU64::new(u64::MAX),
-        }
-    }
-
-    /// branch.rs:357-367 — improvement test and mirror store both happen
-    /// under the incumbent lock.
-    fn offer(&self, key: u64) -> bool {
-        let mut guard = self.incumbent.lock();
-        let improves = guard.is_none_or(|cur| key < cur);
-        if improves {
-            *guard = Some(key);
-            self.mirror.store(key, Ordering::Relaxed);
-        }
-        improves
-    }
-}
-
-/// No stale-incumbent publication: whatever interleaving the offering
-/// workers run in, the search can never end with the mirror advertising a
-/// *better* (smaller) key than the true incumbent — that would prune
-/// nodes that could still improve the real solution. (The mirror may
-/// transiently lag worse; that is safe, it only prunes less.) Also pins
-/// the end state: with all offers in, the incumbent must be the best
-/// offer and the mirror must agree exactly.
-#[test]
-fn incumbent_mirror_never_advertises_better_than_truth() {
-    let report = Builder::new().max_preemptions(2).check(|| {
-        let shared = Arc::new(IncumbentModel::new());
-        let offers = [30u64, 10, 20];
-        let handles: Vec<_> = offers
-            .iter()
-            .map(|&key| {
-                let s = Arc::clone(&shared);
-                thread::spawn(move || s.offer(key))
-            })
-            .collect();
-        let improved: Vec<bool> = handles.into_iter().map(|h| h.join()).collect();
-
-        let truth = (*shared.incumbent.lock()).expect("incumbent present after offers");
-        let mirror = shared.mirror.load(Ordering::Relaxed);
-        assert_eq!(truth, 10, "incumbent must end at the best offer");
-        assert_eq!(mirror, truth, "mirror must settle exactly on the truth");
-        // The best offer always reports improvement; exactly how many
-        // others do depends on the schedule, but at least one must.
-        assert!(improved.iter().any(|&b| b), "some offer must improve");
-    });
-    assert!(report.exhaustive, "exploration hit a cap");
-}
-
-/// Model of the portfolio race (strategy.rs:375-427): racers write their
-/// outcomes into per-entry slots, the decisive racer cancels the race on
-/// success, and the winner is selected from the slots *after* all racers
-/// are joined. The decisive entry is slot 0, as in `Portfolio::standard`.
+/// Model of the portfolio race (strategy.rs `Portfolio::partition`):
+/// racers write their outcomes into per-entry slots, the decisive racer
+/// cancels the race on success, and the winner is selected from the slots
+/// *after* all racers are joined. The decisive entry is slot 0, as in `Portfolio::standard`.
 #[test]
 fn portfolio_picks_a_deterministic_winner_and_cancels_losers() {
     // Collect the winner of every schedule; they must all agree.
@@ -229,7 +164,7 @@ fn portfolio_picks_a_deterministic_winner_and_cancels_losers() {
         let observed_cancel = Arc::new(AtomicUsize::new(0));
 
         // Decisive racer: proves optimality at key 100, cancels the race
-        // (strategy.rs:380-386).
+        // (the decisive arm of `Portfolio::partition`).
         let decisive = {
             let stop = Arc::clone(&stop);
             let slots = Arc::clone(&slots);
@@ -266,8 +201,8 @@ fn portfolio_picks_a_deterministic_winner_and_cancels_losers() {
         assert!(stop.is_cancelled());
 
         // Winner selection is a pure fold over the slots in entry order
-        // (strategy.rs:389-416): smallest key wins, ties to the earliest
-        // slot.
+        // (the ranking loop of `Portfolio::partition`): smallest key wins,
+        // ties to the earliest slot.
         let mut winner: Option<(u64, usize)> = None;
         for (i, slot) in slots.iter().enumerate() {
             if let Some(key) = *slot.lock() {

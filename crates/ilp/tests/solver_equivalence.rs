@@ -1,10 +1,11 @@
 //! Property tests: the warm-started sparse branch-and-bound must agree
-//! with the exhaustive 0/1 oracle on feasibility and objective, and the
-//! parallel tree search must prove the same objective as the serial one.
+//! with the exhaustive 0/1 oracle on feasibility and objective, and a
+//! search stopped part-way must stay sound against the same oracle.
 
 use proptest::prelude::*;
 use sparcs_ilp::enumerate::{brute_force, EnumOutcome};
-use sparcs_ilp::{solve, Model, Sense, SolveError, SolveOptions, Var};
+use sparcs_ilp::{solve, Model, Sense, SolveError, SolveOptions, Status, Var};
+use std::cell::Cell;
 
 /// A randomly generated small 0/1 model: up to 7 binaries, up to 5 rows of
 /// small integer coefficients (integral data keeps objective gaps >= 1, so
@@ -83,7 +84,7 @@ proptest! {
     fn matches_brute_force_oracle(spec in model_strategy()) {
         let m = build(&spec);
         let oracle = brute_force(&m, 1e-7).expect("pure binary by construction");
-        let bb = solve(&m, &SolveOptions::default());
+        let bb = solve(&m, &SolveOptions::default(), &|| false);
         match (oracle, bb) {
             (EnumOutcome::Infeasible, Err(SolveError::Infeasible)) => {}
             (EnumOutcome::Optimal { objective, .. }, Ok(sol)) => {
@@ -108,33 +109,49 @@ proptest! {
         }
     }
 
-    /// The subtree-parallel search proves the same objective as the serial
-    /// search for every job count (node counts may differ; the optimum may
-    /// not).
+    /// A search whose stop signal fires on its k-th poll keeps the
+    /// oracle's promises: any incumbent it returns is feasible and no
+    /// better than the optimum, the reported bound still covers the
+    /// optimum, and at most k nodes were explored. With nothing in hand it
+    /// reports `Cancelled`; a search that finishes first agrees with the
+    /// oracle exactly.
     #[test]
-    fn parallel_jobs_prove_the_serial_objective(spec in model_strategy()) {
+    fn stopping_after_k_polls_stays_sound(spec in model_strategy(), k in 1usize..16) {
         let m = build(&spec);
-        let serial = solve(&m, &SolveOptions::default());
-        for jobs in [2u32, 4] {
-            let par = solve(&m, &SolveOptions { jobs, ..SolveOptions::default() });
-            match (&serial, &par) {
-                (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
-                (Ok(a), Ok(b)) => {
-                    prop_assert!(
-                        (a.objective - b.objective).abs() < 1e-6,
-                        "jobs {jobs}: serial {} vs parallel {}\nmodel: {}",
-                        a.objective,
-                        b.objective,
-                        m.to_lp_format()
-                    );
-                    prop_assert!(m.violations(&b.x, 1e-6).is_empty());
-                }
-                (a, b) => prop_assert!(
-                    false,
-                    "jobs {jobs}: serial {a:?} vs parallel {b:?}\nmodel: {}",
+        let oracle = brute_force(&m, 1e-7).expect("pure binary by construction");
+        let polls = Cell::new(0usize);
+        let stop = || {
+            polls.set(polls.get() + 1);
+            polls.get() >= k
+        };
+        match (oracle, solve(&m, &SolveOptions::default(), &stop)) {
+            (_, Err(SolveError::Cancelled)) | (EnumOutcome::Infeasible, Err(SolveError::Infeasible)) => {}
+            (EnumOutcome::Optimal { objective, .. }, Ok(sol)) => {
+                prop_assert!(sol.nodes <= k, "k {k}: {} nodes", sol.nodes);
+                prop_assert!(m.violations(&sol.x, 1e-6).is_empty());
+                // In the minimization orientation: bound ≤ optimum ≤ incumbent.
+                let sign = if spec.maximize { -1.0 } else { 1.0 };
+                prop_assert!(
+                    sign * objective <= sign * sol.objective + 1e-6,
+                    "k {k}: incumbent {} beats the optimum {objective}\nmodel: {}",
+                    sol.objective,
                     m.to_lp_format()
-                ),
+                );
+                prop_assert!(
+                    sign * sol.bound <= sign * objective + 1e-5,
+                    "k {k}: bound {} excludes the optimum {objective}\nmodel: {}",
+                    sol.bound,
+                    m.to_lp_format()
+                );
+                if sol.status == Status::Optimal {
+                    prop_assert!((objective - sol.objective).abs() < 1e-6);
+                }
             }
+            (o, b) => prop_assert!(
+                false,
+                "k {k}: oracle {o:?} vs solver {b:?}\nmodel: {}",
+                m.to_lp_format()
+            ),
         }
     }
 }

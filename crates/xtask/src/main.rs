@@ -8,9 +8,10 @@
 //! 2. **Justified relaxed orderings** — every `Ordering::Relaxed` must be
 //!    accompanied by a `// relaxed-ok:` comment (same line or the line
 //!    above) explaining why no stronger ordering is needed.
-//! 3. **Clock discipline in strategy code** — deterministic strategy and
-//!    refinement code must not read `Instant::now()` directly; wall-clock
-//!    reads belong to the search driver so runs replay identically.
+//! 3. **Clock discipline in strategy and solver code** — deterministic
+//!    strategy, refinement and branch-and-bound code must not read
+//!    `Instant::now()` directly; wall-clock reads belong to the search
+//!    driver so runs replay identically.
 //! 4. **Justified numeric casts in kernel code** — in the numeric hot
 //!    paths (simplex kernels, the board-memory host driver) every bare
 //!    `as` cast to a primitive numeric type needs a `// cast-ok:` comment
@@ -156,13 +157,15 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Files where `Instant::now()` is banned: strategy selection and
-/// refinement must be clock-free so identical inputs replay identically.
-/// (`crates/core/src/search.rs` is the driver that owns the clock.)
+/// Files where `Instant::now()` is banned: strategy selection, refinement
+/// and the branch-and-bound must be clock-free so identical inputs replay
+/// identically. (`crates/core/src/search.rs` is the driver that owns the
+/// clock; the solver sees it only as a stop signal.)
 const CLOCK_FREE: &[&str] = &[
     "src/strategy.rs",
     "crates/core/src/refine.rs",
     "crates/core/src/list.rs",
+    "crates/ilp/src/branch.rs",
 ];
 
 /// Files where every bare `as` cast to a primitive numeric type must carry
@@ -564,6 +567,12 @@ mod tests {
         let text = "fn f() { let t = Instant::now(); }\n";
         assert_eq!(
             rules_of("src/strategy.rs", text),
+            vec![("no-clock-in-strategy", 1)]
+        );
+        // The branch-and-bound reads no clock either: its caller hands it
+        // a stop signal instead.
+        assert_eq!(
+            rules_of("crates/ilp/src/branch.rs", text),
             vec![("no-clock-in-strategy", 1)]
         );
         assert_eq!(rules_of("crates/core/src/search.rs", text), vec![]);

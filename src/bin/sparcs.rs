@@ -161,8 +161,7 @@ fn usage() -> &'static str {
               --seq static|fdh|idh  --synthetic (run: generated stream, counted sink)\n\
               --arch xc4044|xc6200|tm (repeatable: explore ranks across boards)\n\
               --max-partitions N[,N...] (cap the ILP; a list sweeps explore)\n\
-              --jobs N (explore workers / partition tree-search threads;\n\
-                        rankings and proven optima are identical for any N)\n\
+              --jobs N (explore workers; rankings are identical for any N)\n\
               --ilp-stats (print solver nodes/pivots/cold-solves/wall time)\n\
               --json (audit: one JSON diagnostic per line)\n\
      `audit` (alias `lint`) re-derives the synthesized design's legality\n\
@@ -396,21 +395,10 @@ fn partition_options(f: &Flags) -> PartitionOptions {
 }
 
 /// The partitioner behind `--partitioner` (a [`sparcs::strategy`] spec;
-/// defaults to the exact ILP). `solver_jobs` opts the exact solver into
-/// `--jobs`-way parallel tree search — only the `partition` subcommand
-/// does: the proven latency is identical for every job count but the
-/// optimal *witness* may differ between runs, and every other consumer
-/// (explore's bit-identical rankings, fission/codegen/run outputs)
-/// promises run-to-run determinism.
-fn strategy_of(f: &Flags, solver_jobs: bool) -> Result<Box<dyn PartitionStrategy>, CliError> {
-    let mut options = partition_options(f);
-    if solver_jobs {
-        if let Some(jobs) = f.jobs {
-            options.solve.jobs = jobs;
-        }
-    }
+/// defaults to the exact ILP).
+fn strategy_of(f: &Flags) -> Result<Box<dyn PartitionStrategy>, CliError> {
     let spec = f.partitioner.as_deref().unwrap_or("ilp");
-    parse_spec(spec, &options)
+    parse_spec(spec, &partition_options(f))
         .map_err(|e| CliError::Usage(format!("bad --partitioner: {e} (grammar: {SPEC_GRAMMAR})")))
 }
 
@@ -424,7 +412,7 @@ fn search_ctx(f: &Flags) -> SearchCtx {
 }
 
 fn analyze<'a>(s: &'a FlowSession, f: &Flags) -> Result<AnalyzedFlow<'a>, CliError> {
-    s.partition_with_search(strategy_of(f, false)?.as_ref(), &search_ctx(f))
+    s.partition_with_search(strategy_of(f)?.as_ref(), &search_ctx(f))
         .map_err(CliError::runtime)?
         .analyze_with(if f.pow2 {
             BlockRounding::PowerOfTwo
@@ -550,7 +538,7 @@ fn real_main() -> Result<(), CliError> {
         }
         "dot" => {
             let s = session(&f)?;
-            match s.partition_with_search(strategy_of(&f, false)?.as_ref(), &search_ctx(&f)) {
+            match s.partition_with_search(strategy_of(&f)?.as_ref(), &search_ctx(&f)) {
                 Ok(stage) => println!(
                     "{}",
                     dot::to_dot_partitioned(s.graph(), |t| Some(
@@ -565,7 +553,7 @@ fn real_main() -> Result<(), CliError> {
             println!("graph : {}", s.graph());
             println!("target: {}", s.arch());
             let stage = s
-                .partition_with_search(strategy_of(&f, true)?.as_ref(), &search_ctx(&f))
+                .partition_with_search(strategy_of(&f)?.as_ref(), &search_ctx(&f))
                 .map_err(CliError::runtime)?;
             let d = &stage.design;
             println!("result: {} (via {})", d.partitioning, stage.strategy);
@@ -617,7 +605,7 @@ fn real_main() -> Result<(), CliError> {
         "run" => run_command(&f)?,
         "audit" | "lint" => {
             let s = session(&f)?;
-            let strategy = strategy_of(&f, false)?;
+            let strategy = strategy_of(&f)?;
             // Deliberately bypass the flow's certification gate (which would
             // convert error-class findings into a FlowError before they can
             // be listed): partition raw, then report everything the

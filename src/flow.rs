@@ -53,12 +53,10 @@
 use crate::cache::{CacheKey, PartitionCache};
 use scoped_threadpool::scoped_map;
 use sparcs_analyze::Analysis;
-use sparcs_core::delay::partition_delays;
 use sparcs_core::fission::{BlockRounding, FissionAnalysis, FissionError};
 use sparcs_core::ilp::SolveStats;
 use sparcs_core::list::{partition_list, ListError};
 use sparcs_core::memory::partition_io;
-use sparcs_core::model::DelayMode;
 use sparcs_core::partitioning::{MemoryMode, Partitioning, Violation};
 use sparcs_core::search::SearchCtx;
 use sparcs_core::{
@@ -412,17 +410,10 @@ impl PartitionStrategy for IlpStrategy {
     }
 
     fn config_key(&self) -> Option<String> {
-        // A deadline or cancellation token embedded directly in the solver
-        // options makes the result depend on wall clock and token state,
-        // not just the rendered key — such a solve must never be memoized
-        // (the `SearchCtx`-level bypass in `partition_cached` cannot see
-        // these fields).
-        if self.options.solve.deadline.is_some() || self.options.solve.cancel.is_some() {
-            return None;
-        }
-        // `PartitionOptions` is otherwise plain data with a stable `Debug`
-        // rendering; any change (memory mode, budgets, symmetry, partition
-        // cap, warm start, bound pinning) changes the key.
+        // `PartitionOptions` is plain data with a stable `Debug` rendering
+        // (deadlines and tokens live only in the `SearchCtx`); any change
+        // (memory mode, node budgets, symmetry, partition cap, warm
+        // incumbent, bound pinning) changes the key.
         Some(format!("{:?}", self.options))
     }
 
@@ -470,8 +461,10 @@ impl PartitionStrategy for ListStrategy {
 /// The content-addressed cache key for solving `ctx` with `strategy`: the
 /// full rendered problem statement (graph, architecture, strategy name,
 /// strategy configuration). `None` when the strategy cannot render a
-/// stable configuration (e.g. a deadline or token is embedded in its
-/// options), in which case its results must never be memoized.
+/// stable configuration (a racing portfolio), in which case its results
+/// must never be memoized. Deadlines and cancellation tokens never reach
+/// a key: they live only in the [`SearchCtx`], and bounded searches skip
+/// the cache altogether.
 ///
 /// This is the *single* statement-key definition: the in-process
 /// [`PartitionCache`] and `sparcsd`'s shared disk-backed result store both
@@ -521,26 +514,12 @@ pub fn design_from_partitioning(
     ctx: &DesignContext,
     partitioning: Partitioning,
 ) -> Result<PartitionedDesign, FlowError> {
-    let partition_delays_ns = partition_delays(&ctx.graph, &partitioning)?;
-    let sum_delay_ns = partition_delays_ns.iter().sum();
-    let latency_ns =
-        u64::from(partitioning.partition_count()) * ctx.arch.reconfig_time_ns + sum_delay_ns;
-    Ok(PartitionedDesign {
+    Ok(PartitionedDesign::from_partitioning(
+        &ctx.graph,
+        &ctx.arch,
         partitioning,
-        partition_delays_ns,
-        sum_delay_ns,
-        latency_ns,
-        stats: SolveStats {
-            attempted_n: Vec::new(),
-            nodes: 0,
-            pivots: 0,
-            cold_solves: 0,
-            wall: std::time::Duration::ZERO,
-            proven_optimal: false,
-            cancelled: false,
-            delay_mode: DelayMode::PartitionSum,
-        },
-    })
+        SolveStats::default(),
+    )?)
 }
 
 /// A flow run: owns the [`DesignContext`] and hands out typed stages.
@@ -1938,21 +1917,6 @@ mod tests {
         let skip = exploration.coverage.skips[0].to_string();
         assert!(skip.contains("one-partition"), "skip reason: {skip}");
         assert!(skip.contains("exceeds device resources"), "{skip}");
-    }
-
-    #[test]
-    fn bounded_solver_options_never_produce_a_cache_key() {
-        use sparcs_core::search::CancelToken;
-        // A deadline or token inside `SolveOptions` makes the result
-        // timing-dependent; the strategy must opt out of caching itself —
-        // the SearchCtx-level bypass cannot see these fields.
-        let mut options = PartitionOptions::default();
-        options.solve.deadline = Some(std::time::Instant::now() + Duration::from_secs(3600));
-        assert!(IlpStrategy::with_options(options).config_key().is_none());
-        let mut options = PartitionOptions::default();
-        options.solve.cancel = Some(CancelToken::new());
-        assert!(IlpStrategy::with_options(options).config_key().is_none());
-        assert!(IlpStrategy::new().config_key().is_some());
     }
 
     #[test]

@@ -406,12 +406,6 @@ impl PartitionStrategy for MultilevelStrategy {
     }
 
     fn config_key(&self) -> Option<String> {
-        // Same rule as the exact strategy: a deadline or cancel token in
-        // the solver options makes the outcome budget-dependent — never
-        // memoize such a run.
-        if self.options.solve.deadline.is_some() || self.options.solve.cancel.is_some() {
-            return None;
-        }
         Some(format!("{:?}\u{1f}{:?}", self.config, self.options))
     }
 
