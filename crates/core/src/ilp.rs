@@ -29,19 +29,6 @@ pub struct PartitionOptions {
     pub solve: SolveOptions,
     /// Hard cap on the partition bound (defaults to the task count).
     pub max_partitions: Option<u32>,
-    /// Pin the relaxation loop to the single partition bound `N₀ + offset`
-    /// (where `N₀` is the resource lower bound) instead of walking
-    /// `N₀..=max`. A portfolio shards the exact solve across candidate
-    /// bounds by racing one pinned partitioner per offset — the solution at
-    /// offset 0 is the paper's first-feasible (hence optimal) answer
-    /// whenever it exists, and offset 1 covers the relaxation concurrently.
-    pub bound_offset: Option<u32>,
-    /// Start the relaxation loop at `N₀ + offset` instead of `N₀`, still
-    /// walking up to the cap (ignored when [`Self::bound_offset`] pins a
-    /// single bound). The portfolio's second shard uses 1: the pinned
-    /// first shard proves `N₀` while this one covers `N₀+1..=max`, so the
-    /// pair still solves every bound the classic loop would.
-    pub min_bound_offset: u32,
 }
 
 /// Statistics of a successful partitioning run.
@@ -321,27 +308,6 @@ impl IlpPartitioner {
                 .is_empty()
         });
 
-        // Bound sharding: a pinned offset solves exactly one bound of the
-        // relaxation loop; a floor offset walks the rest of the loop from
-        // there (racing portfolios pair the two so every bound is covered
-        // concurrently).
-        let (n_lo, n_hi) = match self.opts.bound_offset {
-            Some(offset) => {
-                let n = n0.saturating_add(offset);
-                if n > n_max {
-                    return Err(PartitionError::NoFeasibleSolution { tried_up_to: n_max });
-                }
-                (n, n)
-            }
-            None => {
-                let lo = n0.saturating_add(self.opts.min_bound_offset);
-                if lo > n_max {
-                    return Err(PartitionError::NoFeasibleSolution { tried_up_to: n_max });
-                }
-                (lo, n_max)
-            }
-        };
-
         let t0 = Instant::now();
         // Totals over every attempted bound.
         let mut stats = SolveStats::default();
@@ -364,11 +330,11 @@ impl IlpPartitioner {
             )?)
         };
         let stop = || search.stop_requested();
-        for n in n_lo..=n_hi {
+        for n in n0..=n_max {
             // Between attempts the loop is a cooperative check point. The
             // first attempt always reaches the solver — it degrades to the
             // warm incumbent on its own when the search is already stopped.
-            if n > n_lo && search.stop_requested() {
+            if n > n0 && search.stop_requested() {
                 return cancelled_fallback(stats);
             }
             stats.attempted_n.push(n);
@@ -410,7 +376,7 @@ impl IlpPartitioner {
                 Err(e) => return Err(PartitionError::Solver(e)),
             }
         }
-        Err(PartitionError::NoFeasibleSolution { tried_up_to: n_hi })
+        Err(PartitionError::NoFeasibleSolution { tried_up_to: n_max })
     }
 }
 
@@ -549,72 +515,6 @@ mod tests {
             }
         }
         assert!(ilp_strictly_better > 0, "ILP should win at least once");
-    }
-
-    #[test]
-    fn pinned_bound_offset_solves_exactly_one_bound() {
-        let g = gen::fig4_example();
-        let a = arch(1200, 100); // resource lower bound: 2 partitions
-        let pinned = |offset: u32| {
-            IlpPartitioner::new(
-                a.clone(),
-                PartitionOptions {
-                    bound_offset: Some(offset),
-                    ..PartitionOptions::default()
-                },
-            )
-            .partition(&g)
-        };
-        let d0 = pinned(0).unwrap();
-        assert_eq!(d0.stats.attempted_n, vec![2]);
-        assert_eq!(d0.sum_delay_ns, 700);
-        let d1 = pinned(1).unwrap();
-        assert_eq!(d1.stats.attempted_n, vec![3]);
-        assert!(d1.stats.proven_optimal);
-        // An offset beyond the hard cap has nothing to solve.
-        let err = IlpPartitioner::new(
-            a,
-            PartitionOptions {
-                bound_offset: Some(1),
-                max_partitions: Some(2),
-                ..PartitionOptions::default()
-            },
-        )
-        .partition(&g)
-        .unwrap_err();
-        assert_eq!(err, PartitionError::NoFeasibleSolution { tried_up_to: 2 });
-    }
-
-    #[test]
-    fn floor_bound_offset_walks_the_rest_of_the_relaxation_loop() {
-        let g = gen::fig4_example();
-        let a = arch(1200, 100); // resource lower bound: 2 partitions
-        let d = IlpPartitioner::new(
-            a,
-            PartitionOptions {
-                min_bound_offset: 1,
-                ..PartitionOptions::default()
-            },
-        )
-        .partition(&g)
-        .unwrap();
-        // The shard starts at N₀+1 = 3 and keeps relaxing like the classic
-        // loop would.
-        assert_eq!(d.stats.attempted_n[0], 3);
-        assert!(d.stats.proven_optimal);
-        // A floor beyond the cap has nothing to solve.
-        let g2 = gen::fig4_example();
-        let err = IlpPartitioner::new(
-            arch(1200, 100),
-            PartitionOptions {
-                min_bound_offset: 2,
-                max_partitions: Some(2),
-                ..PartitionOptions::default()
-            },
-        )
-        .partition(&g2)
-        .unwrap_err();
-        assert_eq!(err, PartitionError::NoFeasibleSolution { tried_up_to: 2 });
     }
 
     #[test]

@@ -1,19 +1,16 @@
 //! Inter-partition memory accounting.
 //!
-//! Three related measures, all in board-memory words:
+//! Two related measures, both in board-memory words:
 //!
 //! * [`boundary_words`] — data live *across* each partition boundary
 //!   (the quantity bounded by `M_max` in the ILP's Equation 3);
 //! * [`per_partition_words`] — the paper's per-partition `m_i_temp`
 //!   (§2.2/§4 accounting: data read into plus written out of partition `i`
 //!   for one computation), which sizes the loop-fission memory blocks;
-//! * [`live_range_words`] — a sharper measure tracking every value's full
-//!   lifetime (a value produced in partition 1 and consumed in partition 3
-//!   occupies memory while partition 2 runs, which the paper's per-partition
-//!   count ignores). Offered for the A3 ablation.
+//!   [`partition_io`] splits it by direction for the host interface.
 
 use crate::partitioning::{MemoryMode, Partitioning};
-use sparcs_dfg::{TaskGraph, TaskId};
+use sparcs_dfg::TaskGraph;
 
 /// Words stored across each boundary `b` (between partitions `b` and `b+1`);
 /// the returned vector has `N − 1` entries.
@@ -153,74 +150,6 @@ pub fn per_partition_words(g: &TaskGraph, part: &Partitioning) -> Vec<u64> {
         .collect()
 }
 
-/// Maximum words live *during* each partition's execution, tracking full
-/// value lifetimes (FDH semantics: environment outputs stay in memory until
-/// the whole run finishes; environment inputs are loaded just before their
-/// first consuming partition).
-pub fn live_range_words(g: &TaskGraph, part: &Partitioning) -> Vec<u64> {
-    let n = part.partition_count() as usize;
-    if n == 0 {
-        return Vec::new();
-    }
-    let last = (n - 1) as u32;
-    let mut live = vec![0u64; n];
-    let mut add_range = |from: u32, to: u32, words: u64| {
-        for p in from..=to {
-            live[p as usize] += words;
-        }
-    };
-    for (_, port) in g.env_inputs() {
-        let first = port
-            .tasks
-            .iter()
-            .map(|&t| part.partition_of(t).0)
-            .min()
-            .expect("env ports have consumers");
-        let lastc = port
-            .tasks
-            .iter()
-            .map(|&t| part.partition_of(t).0)
-            .max()
-            .expect("env ports have consumers");
-        add_range(first, lastc, port.words);
-    }
-    for (_, port) in g.env_outputs() {
-        let first = port
-            .tasks
-            .iter()
-            .map(|&t| part.partition_of(t).0)
-            .min()
-            .expect("env ports have producers");
-        add_range(first, last, port.words);
-    }
-    for (t, task) in g.tasks() {
-        let ps = part.partition_of(t).0;
-        if let Some(maxc) = g.successors(t).map(|s| part.partition_of(s).0).max() {
-            if maxc > ps {
-                add_range(ps, maxc, task.output_words);
-            }
-        }
-    }
-    live
-}
-
-/// Convenience: which tasks' outputs cross boundary `b` (used by the memory
-/// mapper in `sparcs-hls`).
-pub fn crossing_producers(g: &TaskGraph, part: &Partitioning, b: u32) -> Vec<TaskId> {
-    g.tasks()
-        .filter(|&(t, _)| {
-            let ps = part.partition_of(t).0;
-            let maxc = g
-                .successors(t)
-                .map(|s| part.partition_of(s).0)
-                .max()
-                .unwrap_or(ps);
-            ps <= b && maxc > b
-        })
-        .map(|(t, _)| t)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,6 +233,18 @@ mod tests {
     }
 
     #[test]
+    fn live_range_sees_pass_through_values() {
+        let g = fanout_graph();
+        let p = Partitioning::new(vec![PartitionId(0), PartitionId(1), PartitionId(2)]);
+        // a | b | c: a's value stays live through P2 until c reads it in P3,
+        // so it is stored across both boundaries.
+        assert_eq!(boundary_words(&g, &p, MemoryMode::Net), vec![4, 4]);
+        // The paper's per-partition count charges it only where it is read
+        // or written: P2 reads it for b (4) and writes out_b (1).
+        assert_eq!(per_partition_words(&g, &p), vec![8, 5, 5]);
+    }
+
+    #[test]
     fn per_partition_env_input_spanning_two_partitions_counts_twice() {
         let mut g = TaskGraph::new("span");
         let a = g.add_task("a", Resources::clbs(1), 1, 1);
@@ -314,27 +255,5 @@ mod tests {
         let p = Partitioning::new(vec![PartitionId(0), PartitionId(1)]);
         // P1: in 6 + out 1; P2: in 6 + out 1.
         assert_eq!(per_partition_words(&g, &p), vec![7, 7]);
-    }
-
-    #[test]
-    fn live_range_sees_pass_through_values() {
-        let g = fanout_graph();
-        let p = Partitioning::new(vec![PartitionId(0), PartitionId(1), PartitionId(2)]);
-        let live = live_range_words(&g, &p);
-        // P1: in(4) + a-value(4) + no outputs yet = 8
-        // P2: a-value still live (c reads it later): 4 + out_b(1) = 5
-        // P3: a-value(4) + out_b(1, held to end) + out_c(1) = 6
-        assert_eq!(live, vec![8, 5, 6]);
-        // The paper's per-partition count misses the pass-through in P2:
-        let paper = per_partition_words(&g, &p);
-        assert_eq!(paper, vec![8, 5, 5]);
-    }
-
-    #[test]
-    fn crossing_producers_identifies_sources() {
-        let g = fanout_graph();
-        let p = Partitioning::new(vec![PartitionId(0), PartitionId(1), PartitionId(2)]);
-        assert_eq!(crossing_producers(&g, &p, 0), vec![sparcs_dfg::TaskId(0)]);
-        assert_eq!(crossing_producers(&g, &p, 1), vec![sparcs_dfg::TaskId(0)]);
     }
 }

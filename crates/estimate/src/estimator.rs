@@ -8,7 +8,6 @@
 //! per schedule cycle) + the board-memory interface, all inflated by the
 //! library's floorplan-overhead factor.
 
-use crate::cache::{EstimateCache, EstimateKey};
 use crate::library::ComponentLibrary;
 use crate::opgraph::OpGraph;
 use crate::schedule::{self, Allocation, ScheduleError};
@@ -121,43 +120,6 @@ impl Estimator {
     /// Returns [`EstimateError::Schedule`] when the graph is cyclic.
     pub fn estimate(&self, g: &OpGraph) -> Result<TaskEstimate, EstimateError> {
         self.estimate_with(g, &Allocation::minimal_for(g))
-    }
-
-    /// Like [`Self::estimate`], but memoized through the process-wide
-    /// [`EstimateCache`]: the same task fingerprint under the same library
-    /// and clock constraint schedules exactly once per process, no matter
-    /// how many graph rebuilds or exploration sweeps ask.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EstimateError::Schedule`] when the graph is cyclic
-    /// (errors are never cached).
-    pub fn estimate_cached(&self, g: &OpGraph) -> Result<TaskEstimate, EstimateError> {
-        self.estimate_with_cached(g, &Allocation::minimal_for(g))
-    }
-
-    /// Like [`Self::estimate_with`], but memoized through the process-wide
-    /// [`EstimateCache`]. The key renders the whole problem statement —
-    /// operation graph, allocation, component library and clock constraint
-    /// — so any input change re-estimates and distinct problems can never
-    /// alias.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EstimateError::Schedule`] when the graph is cyclic or the
-    /// allocation lacks a compatible unit (errors are never cached).
-    pub fn estimate_with_cached(
-        &self,
-        g: &OpGraph,
-        alloc: &Allocation,
-    ) -> Result<TaskEstimate, EstimateError> {
-        let key = EstimateKey::builder()
-            .push(g)
-            .push(alloc)
-            .push(&self.lib)
-            .push(&self.max_clock_ns)
-            .build();
-        EstimateCache::global().get_or_estimate(key, || self.estimate_with(g, alloc))
     }
 
     /// Estimates a task under an explicit allocation.

@@ -16,7 +16,9 @@
 //!   width, plus floorplan-overhead modeling.
 //! * [`schedule`] — resource-constrained list scheduling of operation graphs
 //!   (the mechanism behind cycle-count estimation).
-//! * [`estimator`] — ties the above together into [`TaskEstimate`]s.
+//! * [`estimator`] — ties the above together into one [`TaskEstimate`] per
+//!   task, scheduled on the cheapest allocation (one unit per operation
+//!   kind) unless the caller passes its own.
 //! * [`paper`] — the *paper-calibrated* backend that reports the exact §4
 //!   constants (70/180 CLBs, 68 cycles @ 50 ns, …) for table-fidelity runs.
 //!
@@ -39,16 +41,13 @@
 #![warn(missing_docs)]
 
 pub mod arch;
-pub mod cache;
 pub mod estimator;
-pub mod explore;
 pub mod library;
 pub mod opgraph;
 pub mod paper;
 pub mod schedule;
 
 pub use arch::Architecture;
-pub use cache::{EstimateCache, EstimateCacheStats};
 pub use estimator::{EstimateError, Estimator, TaskEstimate};
 pub use library::ComponentLibrary;
 pub use opgraph::{OpGraph, OpId, OpKind};

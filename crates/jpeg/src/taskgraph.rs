@@ -69,8 +69,8 @@ pub fn dct_task_graph(backend: EstimateBackend) -> Result<DctTaskGraph, Estimate
                 sparcs_estimate::ComponentLibrary::xc4000(),
                 paper::STATIC_CLOCK_NS,
             );
-            let t1 = est.estimate_cached(&OpGraph::vector_product(4, 8, 9))?;
-            let t2 = est.estimate_cached(&OpGraph::vector_product(4, 12, 17))?;
+            let t1 = est.estimate(&OpGraph::vector_product(4, 8, 9))?;
+            let t2 = est.estimate(&OpGraph::vector_product(4, 12, 17))?;
             (t1, t2)
         }
     };

@@ -1,10 +1,9 @@
-//! The reconfigurable board: FPGA configuration state plus on-board memory.
-//!
-//! Time is tracked in integer nanoseconds (`u128`) so every run is exactly
-//! reproducible. All host↔memory traffic pays the architecture's `D_m` per
-//! word; reconfiguration pays `CT`.
+//! The board's on-board memory: `M_max` bounds-checked words that keep
+//! intermediate data while the FPGA is reconfigured. The sequencers in
+//! [`crate::host`] stage every batch through a [`MemoryBank`] and charge
+//! `D_m` per transferred word and `CT` per reload in their
+//! [`crate::TimeReport`].
 
-use sparcs_estimate::Architecture;
 use std::fmt;
 
 /// Errors from board operations.
@@ -15,8 +14,6 @@ pub enum BoardError {
         /// First offending word address.
         address: u64,
     },
-    /// Execution requested with no configuration loaded.
-    NotConfigured,
 }
 
 impl fmt::Display for BoardError {
@@ -25,7 +22,6 @@ impl fmt::Display for BoardError {
             BoardError::OutOfBounds { address } => {
                 write!(f, "memory access at word {address} is out of bounds")
             }
-            BoardError::NotConfigured => write!(f, "no configuration loaded"),
         }
     }
 }
@@ -182,165 +178,29 @@ impl MemoryBank {
     }
 }
 
-/// The simulated board.
-#[derive(Debug)]
-pub struct Board {
-    arch: Architecture,
-    /// Loaded configuration id, if any.
-    loaded: Option<u32>,
-    /// On-board memory.
-    pub memory: MemoryBank,
-    /// Elapsed time in ns.
-    now_ns: u128,
-    /// Reconfiguration count (for reports).
-    reconfigurations: u64,
-    /// Host↔memory words moved (for reports).
-    words_transferred: u64,
-}
-
-impl Board {
-    /// A fresh board for the given architecture.
-    pub fn new(arch: Architecture) -> Self {
-        let memory = MemoryBank::new(arch.memory_words);
-        Board {
-            arch,
-            loaded: None,
-            memory,
-            now_ns: 0,
-            reconfigurations: 0,
-            words_transferred: 0,
-        }
-    }
-
-    /// The architecture this board models.
-    pub fn architecture(&self) -> &Architecture {
-        &self.arch
-    }
-
-    /// Current simulated time in ns.
-    pub fn now_ns(&self) -> u128 {
-        self.now_ns
-    }
-
-    /// Number of reconfigurations performed.
-    pub fn reconfigurations(&self) -> u64 {
-        self.reconfigurations
-    }
-
-    /// Host↔memory words moved so far.
-    pub fn words_transferred(&self) -> u64 {
-        self.words_transferred
-    }
-
-    /// Currently loaded configuration id.
-    pub fn loaded(&self) -> Option<u32> {
-        self.loaded
-    }
-
-    /// Loads configuration `id`, paying `CT` (no-op **never**: the paper's
-    /// host always reloads, and the IDH sequencing depends on that cost
-    /// model — callers skip the call when a configuration is resident).
-    pub fn configure(&mut self, id: u32) {
-        self.now_ns += u128::from(self.arch.reconfig_time_ns);
-        self.reconfigurations += 1;
-        self.loaded = Some(id);
-    }
-
-    /// Host→memory transfer, paying `D_m` per word.
-    ///
-    /// # Errors
-    ///
-    /// [`BoardError::OutOfBounds`] when the range exceeds capacity.
-    pub fn host_write(&mut self, address: u64, data: &[i32]) -> Result<(), BoardError> {
-        self.memory.write(address, data)?;
-        self.now_ns += u128::from(self.arch.transfer_ns_per_word) * data.len() as u128;
-        self.words_transferred += data.len() as u64;
-        Ok(())
-    }
-
-    /// Memory→host transfer, paying `D_m` per word.
-    ///
-    /// # Errors
-    ///
-    /// [`BoardError::OutOfBounds`] when the range exceeds capacity.
-    pub fn host_read(&mut self, address: u64, len: u64) -> Result<Vec<i32>, BoardError> {
-        let data = self.memory.read(address, len)?.to_vec();
-        self.now_ns += u128::from(self.arch.transfer_ns_per_word) * len as u128;
-        self.words_transferred += len;
-        Ok(data)
-    }
-
-    /// Advances time by an on-FPGA execution of `delay_ns`.
-    ///
-    /// # Errors
-    ///
-    /// [`BoardError::NotConfigured`] when nothing is loaded.
-    pub fn execute_ns(&mut self, delay_ns: u64) -> Result<(), BoardError> {
-        if self.loaded.is_none() {
-            return Err(BoardError::NotConfigured);
-        }
-        self.now_ns += u128::from(delay_ns);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn board() -> Board {
-        Board::new(Architecture::xc4044_wildforce())
-    }
-
     #[test]
     fn memory_round_trip() {
-        let mut b = board();
-        b.host_write(100, &[1, -2, 3]).unwrap();
-        assert_eq!(b.host_read(100, 3).unwrap(), vec![1, -2, 3]);
-        assert_eq!(b.words_transferred(), 6);
-        // 6 words × 25 ns.
-        assert_eq!(b.now_ns(), 150);
+        let mut bank = MemoryBank::new(1024);
+        bank.write(100, &[1, -2, 3]).unwrap();
+        assert_eq!(bank.read(100, 3).unwrap(), &[1, -2, 3]);
     }
 
     #[test]
     fn bounds_are_enforced() {
-        let mut b = board();
-        let cap = b.memory.capacity();
+        let mut bank = MemoryBank::new(1024);
+        let cap = bank.capacity();
         assert_eq!(
-            b.host_write(cap - 1, &[1, 2]),
+            bank.write(cap - 1, &[1, 2]),
             Err(BoardError::OutOfBounds { address: cap })
         );
-        assert!(b.host_write(cap - 2, &[1, 2]).is_ok());
-    }
-
-    #[test]
-    fn configure_costs_ct() {
-        let mut b = board();
-        b.configure(0);
-        assert_eq!(b.now_ns(), 100_000_000);
-        b.configure(1);
-        assert_eq!(b.now_ns(), 200_000_000);
-        assert_eq!(b.reconfigurations(), 2);
-        assert_eq!(b.loaded(), Some(1));
-    }
-
-    #[test]
-    fn execute_requires_configuration() {
-        let mut b = board();
-        assert_eq!(b.execute_ns(10), Err(BoardError::NotConfigured));
-        b.configure(0);
-        b.execute_ns(3_400).unwrap();
-        assert_eq!(b.now_ns(), 100_003_400);
-    }
-
-    #[test]
-    fn memory_persists_across_reconfiguration() {
-        // The paper's whole premise: intermediate data survives in board
-        // memory while the FPGA is reconfigured.
-        let mut b = board();
-        b.configure(0);
-        b.host_write(0, &[42]).unwrap();
-        b.configure(1);
-        assert_eq!(b.host_read(0, 1).unwrap(), vec![42]);
+        assert!(bank.write(cap - 2, &[1, 2]).is_ok());
+        assert_eq!(
+            bank.read(cap - 1, 2),
+            Err(BoardError::OutOfBounds { address: cap })
+        );
     }
 }

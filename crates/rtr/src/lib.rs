@@ -5,11 +5,11 @@
 //! This crate is the simulated substitute: a deterministic,
 //! integer-nanosecond model of
 //!
-//! * the **FPGA** (one loaded configuration at a time, `CT` per reload),
-//! * the **on-board memory** (bounds-checked word storage, `D_m` per
-//!   host-side word transfer),
+//! * the **on-board memory** ([`board::MemoryBank`], bounds-checked word
+//!   storage that survives reconfiguration),
 //! * the **host sequencers** implementing the paper's FDH and IDH loops and
-//!   the static (single-configuration) baseline,
+//!   the static (single-configuration) baseline, which charge `CT` per
+//!   configuration load and `D_m` per host-side word transfer,
 //!
 //! with the measurement probes the paper describes (*"we measured the
 //! execution times by inserting probes in the software code at points where
@@ -35,7 +35,7 @@ pub mod host;
 pub mod report;
 pub mod stream;
 
-pub use board::{Board, BoardError, MemoryBank};
+pub use board::{BoardError, MemoryBank};
 pub use design::{BatchKernel, Configuration, Kernel, RtrDesign, StaticDesign, MAX_BATCH_LANES};
 pub use host::{FdhSequencer, HostError, IdhSequencer, PhaseProfile, Sequencer, StaticSequencer};
 pub use report::TimeReport;

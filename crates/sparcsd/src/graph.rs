@@ -265,18 +265,23 @@ impl JobGraph {
         }
     }
 
-    /// The lowest-id job that is queued and past its backoff. Claim
-    /// atomicity comes from the caller holding the state lock across
-    /// `next_ready` + journal append + `apply`: two workers racing one
+    /// The ids of jobs that are queued and past their backoff, lowest
+    /// first. Claim atomicity comes from the caller holding the state lock
+    /// across the pick + journal append + `apply`: two workers racing one
     /// job see the claim serialized, so exactly one wins.
-    pub fn next_ready(&self, now: Instant) -> Option<u64> {
+    pub fn ready(&self, now: Instant) -> impl Iterator<Item = u64> + '_ {
         self.jobs
             .values()
-            .find(|j| match j.state {
+            .filter(move |j| match j.state {
                 JobState::Queued { not_before } => not_before.is_none_or(|nb| nb <= now),
                 _ => false,
             })
             .map(|j| j.id)
+    }
+
+    /// The lowest-id job [`Self::ready`] yields.
+    pub fn next_ready(&self, now: Instant) -> Option<u64> {
+        self.ready(now).next()
     }
 
     /// Claimed jobs whose lease expired at `now` (orphaned workers),

@@ -9,7 +9,9 @@
 //! prefix), a pool of worker threads claiming jobs under that lock, and a
 //! nonblocking accept loop handing each connection to a scoped thread.
 //! One condvar wakes both workers (new/requeued jobs) and clients blocked
-//! in `Result { wait_ms }`.
+//! in `Result { wait_ms }`. No worker claims a submitted job before the
+//! connection thread has written its ack, so a crash on the claim path
+//! can never cost a client the id of a job the journal already holds.
 //!
 //! ## Serving tiers
 //!
@@ -56,7 +58,7 @@ use sparcs::flow::{
 use sparcs::service::{JobPhase, JobSpec, Request, Response, ResultSummary, ServiceStats};
 use sparcs::strategy::parse_spec;
 use std::cell::OnceCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -148,6 +150,10 @@ struct Shared {
     /// Cancel tokens of currently-running solves, for `Cancel` and lease
     /// reaping.
     cancels: Mutex<HashMap<u64, CancelToken>>,
+    /// Jobs journaled by `submit` whose ack `handle_conn` has not yet
+    /// written; workers skip them. Taken after `state` when both are held.
+    /// Empty after replay: a restarted daemon owes no ack.
+    unacked: Mutex<HashSet<u64>>,
     cache: PartitionCache,
     store: ResultStore,
     replayed: u64,
@@ -481,9 +487,15 @@ fn worker_loop(shared: &Shared, index: usize) {
                 st.record_lossy(&ev);
                 shared.wakeup.notify_all();
             }
-            // Claim: next_ready + journal + apply under one lock — two
-            // workers racing one job serialize here, exactly one wins.
-            match st.graph.next_ready(Instant::now()) {
+            // Claim: pick + journal + apply under one lock — two workers
+            // racing one job serialize here, exactly one wins.
+            let next = {
+                let unacked = shared.unacked.lock().expect("unacked lock");
+                st.graph
+                    .ready(Instant::now())
+                    .find(|job| !unacked.contains(job))
+            };
+            match next {
                 Some(job) => {
                     let (spec, attempt) = match st.graph.job(job) {
                         Some(j) => (j.spec.clone(), j.attempts + 1),
@@ -563,11 +575,11 @@ fn submit(shared: &Shared, spec: JobSpec) -> Response {
     }
     let job = st.graph.next_job_id();
     // Journaled (fsync'd) before the acknowledgement: an acked submit is
-    // durable by contract.
+    // durable by contract. Held back from the workers until `handle_conn`
+    // has written the ack; it then wakes them.
     match st.record(&Event::Submitted { job, spec }) {
         Ok(()) => {
-            drop(st);
-            shared.wakeup.notify_all();
+            shared.unacked.lock().expect("unacked lock").insert(job);
             Response::Submitted { job }
         }
         Err(e) => err("journal", format!("could not journal the submit: {e}")),
@@ -713,10 +725,21 @@ fn handle_conn(shared: &Shared, stream: UnixStream) {
         Ok(req) => dispatch(shared, req),
         Err(e) => err("bad-request", format!("unparsable request: {e}")),
     };
+    reply(&stream, &response);
+    if let Response::Submitted { job } = response {
+        // The ack went out or never will: the job is claimable now.
+        shared.unacked.lock().expect("unacked lock").remove(&job);
+        shared.wakeup.notify_all();
+    }
+}
+
+/// Writes one response line; an injected drop or an encode failure
+/// writes nothing.
+fn reply(mut stream: &UnixStream, response: &Response) {
     if faults::drop_point("proto.reply") {
         return; // injected connection drop: the client sees EOF, retries
     }
-    let mut out = match serde_json::to_string(&response) {
+    let mut out = match serde_json::to_string(response) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("sparcsd: unencodable response: {e}");
@@ -724,7 +747,7 @@ fn handle_conn(shared: &Shared, stream: UnixStream) {
         }
     };
     out.push('\n');
-    let _ = (&stream).write_all(out.as_bytes());
+    let _ = stream.write_all(out.as_bytes());
 }
 
 /// Binds the listening socket, evicting a stale socket file (a previous
@@ -766,6 +789,7 @@ pub fn run(config: Config) -> io::Result<()> {
         wakeup: Condvar::new(),
         shutdown: AtomicBool::new(false),
         cancels: Mutex::new(HashMap::new()),
+        unacked: Mutex::new(HashSet::new()),
         cache: PartitionCache::new(),
         store,
         replayed,

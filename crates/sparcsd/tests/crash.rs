@@ -138,13 +138,16 @@ fn baseline(root: &Path, spec: &JobSpec) -> ResultSummary {
 #[test]
 fn crash_matrix_recovers_every_acked_job_with_identical_results() {
     // With one worker and one job the append sequence is deterministic:
-    // append 1 = the submit (acked), append 2 = the claim.
+    // append 1 = the submit (acked), append 2 = the claim. Reply 1 is
+    // `wait_ready`'s stats, reply 2 the submit's ack.
     let cases = [
         "journal.append.mid=crash@2",  // claim torn mid-record
         "journal.append.post=crash@2", // claim durable, then death
         "worker.claim.post=crash",     // claimed, solve never started
         "worker.solve.post=crash",     // solved, result never journaled
         "store.publish.mid=crash",     // result temp written, not renamed
+        // A slow ack must not let a worker claim the job and crash first.
+        "proto.reply=delay:500@2,worker.claim.post=crash",
     ];
     let spec = JobSpec::new(fig4_text());
     for faults in cases {

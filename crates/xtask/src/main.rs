@@ -1,4 +1,4 @@
-//! Workspace automation. `cargo xtask lint` enforces five source-level
+//! Workspace automation. `cargo xtask lint` enforces six source-level
 //! policies that rustc/clippy have no lint for:
 //!
 //! 1. **Panic-freedom in library code** — no `.unwrap()` or `panic!` in
@@ -25,6 +25,11 @@
 //!    that crash recovery depends on; each needs a `// durable-ok:`
 //!    comment proving the write still reaches the disk before anything
 //!    depends on it.
+//! 6. **No environment knobs in library code** — only the daemon's
+//!    fault-injection harness (`crates/sparcsd/src/faults.rs`) may call
+//!    `env::var`. Every other setting is an argument or is derived from
+//!    the machine, so a library result never depends on the caller's
+//!    shell.
 //!
 //! The tool is path-based, not syntax-tree-based: it strips comments and
 //! string literals with a small state machine and tracks `#[cfg(test)]`
@@ -187,6 +192,10 @@ const DURABLE_STORE: &[&str] = &[
     "crates/sparcsd/src/store.rs",
 ];
 
+/// The only library file allowed to read environment variables: the
+/// fault-injection harness, armed by `SPARCSD_FAULTS` in crash tests.
+const ENV_READERS: &[&str] = &["crates/sparcsd/src/faults.rs"];
+
 /// Primitive numeric cast targets `cast-needs-justification` covers.
 const NUMERIC_TYPES: &[&str] = &[
     "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
@@ -226,16 +235,17 @@ fn has_numeric_cast(code: &str) -> bool {
     false
 }
 
+/// Whether `rel` is one of the workspace-relative paths in `list`.
+fn listed(rel: &Path, list: &[&str]) -> bool {
+    list.iter()
+        .any(|p| rel == Path::new(p) || rel.to_string_lossy().replace('\\', "/") == *p)
+}
+
 fn lint_file(rel: &Path, text: &str, findings: &mut Vec<Finding>) {
-    let clock_free = CLOCK_FREE
-        .iter()
-        .any(|p| rel == Path::new(p) || rel.to_string_lossy().replace('\\', "/") == *p);
-    let cast_justify = CAST_JUSTIFY
-        .iter()
-        .any(|p| rel == Path::new(p) || rel.to_string_lossy().replace('\\', "/") == *p);
-    let durable_store = DURABLE_STORE
-        .iter()
-        .any(|p| rel == Path::new(p) || rel.to_string_lossy().replace('\\', "/") == *p);
+    let clock_free = listed(rel, CLOCK_FREE);
+    let cast_justify = listed(rel, CAST_JUSTIFY);
+    let durable_store = listed(rel, DURABLE_STORE);
+    let env_reader = listed(rel, ENV_READERS);
 
     let mut in_block_comment = false;
     // Brace depth where an active `#[cfg(test)]` module body started;
@@ -359,6 +369,16 @@ fn lint_file(rel: &Path, text: &str, findings: &mut Vec<Finding>) {
                     message: "bare `fs::write`/`File::create` in a durable-store module; \
                               use the fsync'd append path or justify with `// durable-ok:`"
                         .to_string(),
+                });
+            }
+            if !env_reader && code.contains("env::var") {
+                findings.push(Finding {
+                    file: rel.to_path_buf(),
+                    line: line_no,
+                    rule: "no-env-knob",
+                    message:
+                        "`env::var` in library code; take the setting as an argument or derive it"
+                            .to_string(),
                 });
             }
             if clock_free && code.contains("Instant::now") {
@@ -560,6 +580,23 @@ mod tests {
             rules_of("crates/sparcsd/src/journal.rs", stale),
             vec![("durable-store-write", 3)]
         );
+    }
+
+    #[test]
+    fn env_rule_exempts_only_the_fault_harness() {
+        let text = "fn jobs() -> Option<String> { std::env::var(\"JOBS\").ok() }\n";
+        assert_eq!(rules_of("src/flow.rs", text), vec![("no-env-knob", 1)]);
+        let os = "fn f() { let _ = env::var_os(\"X\"); }\n";
+        assert_eq!(
+            rules_of("crates/core/src/lib.rs", os),
+            vec![("no-env-knob", 1)]
+        );
+        assert_eq!(rules_of("crates/sparcsd/src/faults.rs", text), vec![]);
+        // Tests, comments and strings may mention it.
+        let in_tests = "#[cfg(test)]\nmod tests {\n    fn f() { std::env::var(\"X\").ok(); }\n}\n";
+        assert_eq!(rules_of("src/flow.rs", in_tests), vec![]);
+        let mention = "// env::var is banned here\nfn f() { let _ = \"env::var\"; }\n";
+        assert_eq!(rules_of("src/flow.rs", mention), vec![]);
     }
 
     #[test]

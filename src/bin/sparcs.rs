@@ -69,11 +69,7 @@ struct Flags {
     json: bool,
     // Service (sparcsd) flags.
     socket: Option<String>,
-    data: Option<String>,
-    store: Option<String>,
     wait_ms: Option<u64>,
-    workers: Option<u64>,
-    max_budget_ms: Option<u64>,
     max_attempts: Option<u64>,
 }
 
@@ -151,7 +147,7 @@ impl CliError {
 
 fn usage() -> &'static str {
     "usage: sparcs <partition|fission|codegen|explore|run|audit|analyze|dot|example> [graph.tg] [options]\n\
-     \x20      sparcs <serve|submit|status|result|cancel|svc-stats> ... --socket PATH\n\
+     \x20      sparcs <submit|status|result|cancel|svc-stats> ... --socket PATH\n\
      options: --clbs N  --memory WORDS  --ct NS  --dm NS  --pow2  --edge-memory\n\
               --inputs I  --workload N[,N...] (explore ranks every entry)\n\
               --strategy fdh|idh\n\
@@ -161,15 +157,15 @@ fn usage() -> &'static str {
               --seq static|fdh|idh  --synthetic (run: generated stream, counted sink)\n\
               --arch xc4044|xc6200|tm (repeatable: explore ranks across boards)\n\
               --max-partitions N[,N...] (cap the ILP; a list sweeps explore)\n\
-              --jobs N (explore workers; rankings are identical for any N)\n\
+              --jobs N (explore workers, default: available cores;\n\
+                        rankings are identical for any N)\n\
               --ilp-stats (print solver nodes/pivots/cold-solves/wall time)\n\
               --json (audit: one JSON diagnostic per line)\n\
      `audit` (alias `lint`) re-derives the synthesized design's legality\n\
      with the independent certifier and reports every disagreement\n\
      `analyze` reports certified pre-solve bounds and graph lints without\n\
      solving anything (exit is nonzero on error-class lints)\n\
-     resident service (crash-safe daemon, see README `Resident service`):\n\
-       serve --socket S --data DIR --store DIR [--workers N] [--max-budget-ms MS]\n\
+     resident service (a running `sparcsd`, see README `Resident service`):\n\
        submit graph.tg --socket S [--arch A] [--partitioner SPEC] [--budget-ms MS]\n\
               [--max-partitions N] [--edge-memory] [--max-attempts N] [--wait-ms MS]\n\
        status|result|cancel JOB --socket S   (result takes [--wait-ms MS])\n\
@@ -199,11 +195,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
         ilp_stats: false,
         json: false,
         socket: None,
-        data: None,
-        store: None,
         wait_ms: None,
-        workers: None,
-        max_budget_ms: None,
         max_attempts: None,
     };
     let mut it = args.iter();
@@ -303,23 +295,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
                         .ok_or_else(|| CliError::Usage("--socket needs a path".into()))?,
                 )
             }
-            "--data" => {
-                f.data = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError::Usage("--data needs a directory".into()))?,
-                )
-            }
-            "--store" => {
-                f.store = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError::Usage("--store needs a directory".into()))?,
-                )
-            }
             "--wait-ms" => f.wait_ms = Some(grab("--wait-ms")?),
-            "--workers" => f.workers = Some(grab("--workers")?),
-            "--max-budget-ms" => f.max_budget_ms = Some(grab("--max-budget-ms")?),
             "--max-attempts" => f.max_attempts = Some(grab("--max-attempts")?),
             "--arch" => f.archs.push(match it.next().map(String::as_str) {
                 Some("xc4044") => ArchPreset::Xc4044,
@@ -837,7 +813,6 @@ fn real_main() -> Result<(), CliError> {
                 );
             }
         }
-        "serve" => serve(&f)?,
         "submit" => {
             let path = f
                 .path
@@ -893,60 +868,12 @@ fn real_main() -> Result<(), CliError> {
     Ok(())
 }
 
-/// Runs the resident daemon in the foreground by launching the `sparcsd`
-/// binary: `$SPARCSD_BIN` if set, else the sibling of this executable,
-/// else `sparcsd` on `PATH`.
-fn serve(f: &Flags) -> Result<(), CliError> {
-    let socket = socket_of(f)?;
-    let data = f
-        .data
-        .as_deref()
-        .ok_or_else(|| CliError::Usage("serve needs --data DIR".into()))?;
-    let store = f
-        .store
-        .as_deref()
-        .ok_or_else(|| CliError::Usage("serve needs --store DIR".into()))?;
-    let bin = std::env::var("SPARCSD_BIN").ok().unwrap_or_else(|| {
-        std::env::current_exe()
-            .ok()
-            .map(|p| p.with_file_name("sparcsd"))
-            .filter(|p| p.exists())
-            .map(|p| p.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "sparcsd".to_string())
-    });
-    let mut cmd = std::process::Command::new(&bin);
-    cmd.arg("--socket")
-        .arg(socket)
-        .arg("--data")
-        .arg(data)
-        .arg("--store")
-        .arg(store);
-    if let Some(w) = f.workers {
-        cmd.arg("--workers").arg(w.to_string());
-    }
-    if let Some(ms) = f.max_budget_ms {
-        cmd.arg("--max-budget-ms").arg(ms.to_string());
-    }
-    if let Some(n) = f.max_attempts {
-        cmd.arg("--max-attempts").arg(n.to_string());
-    }
-    let status = cmd
-        .status()
-        .map_err(|e| CliError::Runtime(format!("could not launch {bin}: {e}")))?;
-    if !status.success() {
-        return Err(CliError::Runtime(format!("sparcsd exited with {status}")));
-    }
-    Ok(())
-}
-
-fn socket_of(f: &Flags) -> Result<String, CliError> {
-    f.socket
-        .clone()
-        .ok_or_else(|| CliError::Usage("service commands need --socket PATH".into()))
-}
-
 fn client(f: &Flags) -> Result<Client, CliError> {
-    Ok(Client::new(socket_of(f)?))
+    let socket = f
+        .socket
+        .clone()
+        .ok_or_else(|| CliError::Usage("service commands need --socket PATH".into()))?;
+    Ok(Client::new(socket))
 }
 
 /// The positional argument of status/result/cancel, as a job id.

@@ -364,40 +364,9 @@ impl IlpStrategy {
     }
 }
 
-impl IlpStrategy {
-    /// An exact partitioner pinned to the single bound `N₀ + offset` of
-    /// the relaxation loop — the shard a portfolio races per candidate
-    /// bound (`N`, `N+1`) instead of walking them sequentially.
-    pub fn at_bound_offset(options: PartitionOptions, offset: u32) -> Self {
-        IlpStrategy {
-            options: PartitionOptions {
-                bound_offset: Some(offset),
-                ..options
-            },
-        }
-    }
-
-    /// An exact partitioner walking the relaxation loop from `N₀ + offset`
-    /// up to the cap — the portfolio shard that covers every bound its
-    /// pinned siblings do not, so racing shards never lose exactness.
-    pub fn from_bound_offset(options: PartitionOptions, offset: u32) -> Self {
-        IlpStrategy {
-            options: PartitionOptions {
-                bound_offset: None,
-                min_bound_offset: offset,
-                ..options
-            },
-        }
-    }
-}
-
 impl PartitionStrategy for IlpStrategy {
     fn name(&self) -> String {
-        match (self.options.bound_offset, self.options.min_bound_offset) {
-            (Some(offset), _) => format!("ilp@n0+{offset}"),
-            (None, 0) => "ilp".into(),
-            (None, offset) => format!("ilp@n0+{offset}.."),
-        }
+        "ilp".into()
     }
 
     fn partition(
@@ -413,7 +382,7 @@ impl PartitionStrategy for IlpStrategy {
         // `PartitionOptions` is plain data with a stable `Debug` rendering
         // (deadlines and tokens live only in the `SearchCtx`); any change
         // (memory mode, node budgets, symmetry, partition cap, warm
-        // incumbent, bound pinning) changes the key.
+        // incumbent) changes the key.
         Some(format!("{:?}", self.options))
     }
 
@@ -1436,16 +1405,10 @@ impl ExploreSpace {
     }
 }
 
-/// The default exploration worker count: the `SPARCS_EXPLORE_JOBS`
-/// environment variable when set to a positive integer (the CI matrix uses
-/// this to exercise the parallel path across the whole test suite),
-/// otherwise 1.
+/// The default exploration worker count: the machine's available
+/// parallelism, or 1 when it is unknown.
 pub fn default_explore_jobs() -> u32 {
-    std::env::var("SPARCS_EXPLORE_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
+    std::thread::available_parallelism().map_or(1, |n| u32::try_from(n.get()).unwrap_or(u32::MAX))
 }
 
 /// Short stable label for a block rounding (exploration tables).

@@ -13,10 +13,9 @@
 //! * [`MemoryAwareListStrategy`] — the list seed that validates word
 //!   capacity *during* packing instead of producing designs that fail
 //!   validation downstream.
-//! * [`Portfolio`] — race boxed strategies (including the exact ILP
-//!   sharded across candidate partition bounds `N₀`, `N₀+1`) on the scoped
-//!   thread pool, cancel the losers the moment a decisive racer proves
-//!   optimality or the deadline passes, and pick the winner by a
+//! * [`Portfolio`] — race boxed strategies (including the exact ILP) on
+//!   the scoped thread pool, cancel the losers the moment a decisive racer
+//!   proves optimality or the deadline passes, and pick the winner by a
 //!   deterministic `(cost, name, position)` order.
 //! * [`MultilevelStrategy`] — the coarsen/solve/uncoarsen pipeline from
 //!   [`sparcs_multilevel`] as a raceable seed: exact at the coarsest
@@ -424,11 +423,10 @@ pub struct PortfolioEntry {
     pub strategy: Box<dyn PartitionStrategy>,
     /// Whether this racer's *proven-optimal* success settles the race: the
     /// portfolio cancels every other racer the moment a decisive entry
-    /// returns a proven optimum. Only flag entries whose optimum is known
-    /// to be globally optimal (the full relaxation-loop ILP, or the shard
-    /// pinned at the resource lower bound `N₀` — the paper's
-    /// first-feasible-is-optimal argument); a shard at `N₀+1` proves a
-    /// conditional optimum only.
+    /// returns a proven optimum. Only flag entries whose proven optimum is
+    /// global, like the exact ILP walking the relaxation loop up from the
+    /// resource lower bound `N₀` (the paper's first-feasible-is-optimal
+    /// argument).
     pub decisive: bool,
 }
 
@@ -492,19 +490,16 @@ impl Portfolio {
         }
     }
 
-    /// The standard race: the exact ILP sharded across candidate partition
-    /// bounds — `N₀` pinned (decisive) while a second shard walks the rest
-    /// of the relaxation loop from `N₀+1`, so together they cover every
-    /// bound the classic loop would and the race never trades exactness
-    /// for speed — against `list+kl` and `list+anneal` refinement chains.
-    /// `options` configures the ILP shards, and its memory mode
-    /// (`options.model.memory_mode`) governs both the refiners'
-    /// feasibility checks and the portfolio's own validation.
+    /// The standard race: the exact ILP (decisive: it walks the whole
+    /// relaxation loop, so the race never trades exactness for speed)
+    /// against the `list+kl` and `list+anneal` refinement chains and
+    /// `multilevel`. `options` configures the ILP and multilevel racers,
+    /// and its memory mode (`options.model.memory_mode`) governs both the
+    /// refiners' feasibility checks and the portfolio's own validation.
     pub fn standard(options: PartitionOptions) -> Self {
         let memory_mode = options.model.memory_mode;
         let mut portfolio = Self::new(vec![
-            PortfolioEntry::decisive(Box::new(IlpStrategy::at_bound_offset(options.clone(), 0))),
-            PortfolioEntry::racer(Box::new(IlpStrategy::from_bound_offset(options.clone(), 1))),
+            PortfolioEntry::decisive(Box::new(IlpStrategy::with_options(options.clone()))),
             PortfolioEntry::racer(Box::new(Seeded::new(
                 Box::new(ListStrategy::new()),
                 vec![Box::new(KlRefiner {
@@ -817,10 +812,9 @@ mod tests {
         }
     }
 
-    /// The review scenario for bound sharding: packing that needs far more
-    /// than `N₀+1` partitions. The pinned `N₀` shard is infeasible, but the
-    /// `N₀+1..` shard walks the loop to the first feasible bound, so the
-    /// portfolio still returns a *proven* optimum instead of quietly
+    /// Packing that needs far more than `N₀` partitions: the exact racer
+    /// walks the relaxation loop from `N₀` to the first feasible bound, so
+    /// the portfolio still returns a *proven* optimum instead of quietly
     /// crowning a heuristic.
     #[test]
     fn portfolio_keeps_exactness_when_early_bounds_are_infeasible() {
@@ -845,8 +839,9 @@ mod tests {
         assert_eq!(stage.design.partitioning.partition_count(), 10);
         assert!(
             stage.design.stats.proven_optimal,
-            "the N₀+1.. shard must carry the relaxation loop to a proof"
+            "the exact racer must carry the relaxation loop to a proof"
         );
+        assert_eq!(stage.design.stats.attempted_n, [6, 7, 8, 9, 10]);
         let exact = s.partition_with(&IlpStrategy::new()).unwrap();
         assert_eq!(stage.design.latency_ns, exact.design.latency_ns);
     }

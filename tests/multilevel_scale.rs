@@ -3,7 +3,7 @@
 //! design within a search budget in which the exact ILP cannot finish.
 //!
 //! Compiled out under debug assertions (like the streaming smoke); the CI
-//! workflow runs it in release on both `SPARCS_EXPLORE_JOBS` matrix legs.
+//! workflow runs it in release.
 #![cfg(not(debug_assertions))]
 
 use std::time::{Duration, Instant};

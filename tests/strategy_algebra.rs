@@ -47,7 +47,7 @@ fn cancelled_ilp_returns_its_incumbent_with_stats() {
 }
 
 /// The acceptance scenario: a 50 ms-deadline portfolio on the DCT graph
-/// returns a feasible design promptly — the exact racers stop
+/// returns a feasible design promptly — the exact racer stops
 /// cooperatively at the deadline and the race still crowns a feasible
 /// winner (at worst a refined list seed).
 #[test]
@@ -94,8 +94,8 @@ fn portfolio_winner_is_identical_across_job_counts_on_dct() {
         }
     }
     let (_, latency, proven) = baseline.unwrap();
-    assert!(proven, "the N₀ shard proves the paper's optimum");
-    // And the winner is exactly the classic full-loop exact result.
+    assert!(proven, "the exact racer proves the paper's optimum");
+    // And the winner is exactly the standalone exact result.
     let (session2, options2) = dct_problem();
     let exact = session2
         .partition_with(&IlpStrategy::with_options(options2))
