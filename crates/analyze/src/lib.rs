@@ -393,8 +393,10 @@ fn critical_paths(g: &TaskGraph) -> Result<(u64, u64, Vec<TaskId>), GraphError> 
 
 /// Abstract-interprets `g` against `arch` under `mode`, producing every
 /// certified bound and lint. Pure and solver-free: nothing here launches
-/// the simplex, and the wall-clock cost is `O(V·E)` (dominated by the
-/// reachability closure).
+/// the simplex. The cost is dominated by the reachability closure, a
+/// `V²/8`-byte bit matrix built in `O(E·V/64)` word operations, and the
+/// one pass over its set bits that sums every task's ancestors and
+/// descendants.
 ///
 /// # Errors
 ///
@@ -483,21 +485,25 @@ pub fn analyze(
     let mut refinement_witness = String::new();
     let reach = algo::reachability(g)?;
     if schedulable && g.task_count() > 0 {
+        // Both closure sums from one pass over the descendant rows: each
+        // pair `t ⇒ j` adds R(j) below t and R(t) above j.
+        let res: Vec<sparcs_dfg::Resources> = g.tasks().map(|(_, t)| t.resources).collect();
+        let mut anc = vec![sparcs_dfg::Resources::ZERO; g.task_count()];
+        let mut desc = vec![sparcs_dfg::Resources::ZERO; g.task_count()];
         for t in g.task_ids() {
-            let me = g.task(t).resources;
-            let anc: sparcs_dfg::Resources = reach
-                .ancestors(t)
-                .into_iter()
-                .map(|a| g.task(a).resources)
-                .sum();
-            let desc: sparcs_dfg::Resources = reach
-                .descendants(t)
-                .into_iter()
-                .map(|d| g.task(d).resources)
-                .sum();
+            let me = res[t.index()];
+            let mut below = sparcs_dfg::Resources::ZERO;
+            for j in reach.descendants(t) {
+                below += res[j.index()];
+                anc[j.index()] += me;
+            }
+            desc[t.index()] = below;
+        }
+        for t in g.task_ids() {
+            let me = res[t.index()];
             let (Some(up), Some(down)) = (
-                (anc + me).min_bins(&arch.resources),
-                (desc + me).min_bins(&arch.resources),
+                (anc[t.index()] + me).min_bins(&arch.resources),
+                (desc[t.index()] + me).min_bins(&arch.resources),
             ) else {
                 continue;
             };
@@ -925,6 +931,127 @@ mod tests {
         assert!(json.contains("\"critical-path-bound\""));
         assert!(json.contains("\"bound\":700"));
         assert!(json.contains("\"lints\":[]"));
+    }
+
+    /// A random DAG of `n` tasks with nonzero CLB, flip-flop and
+    /// multiplier demands. Tasks sit at shuffled ranks, so topological
+    /// order differs from id order; an edge joins two tasks at most
+    /// `window` ranks apart, so a small window gives a deep, narrow graph.
+    fn random_dag(n: u32, window: u32, seed: u64) -> sparcs_dfg::TaskGraph {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rank: Vec<u32> = (0..n).collect();
+        for i in (1..rank.len()).rev() {
+            rank.swap(i, rng.gen_range(0..=i));
+        }
+        let mut g = sparcs_dfg::TaskGraph::new(format!("random-{n}-{seed}"));
+        for i in 0..n {
+            let r = Resources::new(
+                rng.gen_range(10..=200u64),
+                rng.gen_range(5..=150u64),
+                rng.gen_range(1..=3u64),
+                0,
+            );
+            g.add_task(format!("t{i}"), r, rng.gen_range(10..=500u64), 4);
+        }
+        let p = (2.0 / f64::from(window)).min(1.0);
+        for u in 0..n {
+            for v in 0..n {
+                let (ru, rv) = (rank[u as usize], rank[v as usize]);
+                if ru < rv && rv - ru <= window && rng.gen_bool(p) {
+                    g.add_edge(TaskId(u), TaskId(v), 4).unwrap();
+                }
+            }
+        }
+        g
+    }
+
+    /// The partition-count fact computed the slow, obvious way: one DFS per
+    /// task in each direction, summed and binned.
+    fn reference_partition_count(g: &sparcs_dfg::TaskGraph, cap: &Resources) -> (u64, String) {
+        let closure_sum = |t: TaskId, downstream: bool| {
+            let mut seen = vec![false; g.task_count()];
+            let mut stack = vec![t];
+            let mut sum = Resources::ZERO;
+            while let Some(u) = stack.pop() {
+                let next: Vec<TaskId> = if downstream {
+                    g.successors(u).collect()
+                } else {
+                    g.predecessors(u).collect()
+                };
+                for v in next {
+                    if !std::mem::replace(&mut seen[v.index()], true) {
+                        sum += g.task(v).resources;
+                        stack.push(v);
+                    }
+                }
+            }
+            sum
+        };
+        let total: Resources = g.tasks().map(|(_, t)| t.resources).sum();
+        let n0 = total.min_bins(cap).unwrap();
+        let (mut lb, mut refinement) = (n0, String::new());
+        for t in g.task_ids() {
+            let me = g.task(t).resources;
+            let up = (closure_sum(t, false) + me).min_bins(cap).unwrap();
+            let down = (closure_sum(t, true) + me).min_bins(cap).unwrap();
+            if up + down - 1 > lb {
+                lb = up + down - 1;
+                refinement = format!(
+                    "; precedence closure through `{}` needs {up} partition(s) upstream \
+                     and {down} downstream (sharing one)",
+                    g.task(t).name
+                );
+            }
+        }
+        let witness = format!(
+            "preprocessing bound ceil(sum R(t) / R_max) with SumR(t) = {total} on R_max = \
+             {cap} gives {n0}{refinement}"
+        );
+        (lb, witness)
+    }
+
+    #[test]
+    fn partition_count_bound_matches_a_dfs_reference() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut refined = 0;
+        for seed in 0..24 {
+            let n = rng.gen_range(60..=300u32);
+            let window = [1, 4, n][seed as usize % 3];
+            let g = random_dag(n, window, seed);
+            // Each kind capped at 1-1.6 times its largest single demand, so
+            // every task fits and rounding at the closure's ends can beat
+            // ⌈ΣR/R_max⌉.
+            let mut cap = |kind: fn(&Resources) -> u64| {
+                let largest = g.tasks().map(|(_, t)| kind(&t.resources)).max().unwrap();
+                largest * rng.gen_range(100..=160u64) / 100
+            };
+            let mut a = arch(0, 1_000_000);
+            a.resources = Resources::new(
+                cap(|r| r.clbs),
+                cap(|r| r.flip_flops),
+                cap(|r| r.mult_blocks),
+                0,
+            );
+            let (lb, witness) = reference_partition_count(&g, &a.resources);
+            refined += usize::from(witness.contains("precedence closure"));
+            for mode in [MemoryMode::Net, MemoryMode::Edge] {
+                let an = analyze(&g, &a, mode).unwrap();
+                assert_eq!(
+                    u64::from(an.partition_count_lb),
+                    lb,
+                    "seed {seed}, {mode:?}"
+                );
+                let fact = an.fact(rules::PARTITION_COUNT_BOUND).unwrap();
+                assert_eq!(fact.bound, lb);
+                assert_eq!(fact.witness, witness, "seed {seed}, {mode:?}");
+            }
+        }
+        assert!(
+            refined > 0,
+            "the sweep never exercised the closure refinement"
+        );
     }
 
     #[test]

@@ -52,6 +52,7 @@ use sparcs_core::fission::FissionAnalysis;
 use sparcs_core::ilp::PartitionedDesign;
 use sparcs_core::partitioning::{MemoryMode, Partitioning};
 use sparcs_core::SequencingStrategy;
+use sparcs_dfg::graph::Edge;
 use sparcs_dfg::{TaskGraph, TaskId};
 use sparcs_estimate::Architecture;
 use sparcs_ilp::{Model, Sense, Solution, Status, VarKind};
@@ -217,25 +218,36 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
 
 // ---------------------------------------------------------------------------
 // First-principles graph helpers. These intentionally re-implement what
-// `sparcs_dfg`/`sparcs_core` already offer (topological order, partition
-// delays, boundary words): the whole point of the certifier is that a bug
-// in the production code paths cannot hide itself here.
+// `sparcs_dfg`/`sparcs_core` already offer (adjacency, topological order,
+// partition delays, boundary words): the whole point of the certifier is
+// that a bug in the production code paths cannot hide itself here. Every
+// helper reads the raw `g.edges()` list, never `TaskGraph`'s own adjacency.
 // ---------------------------------------------------------------------------
+
+/// Out-edge index from the raw edge list: entry `t` holds the edges
+/// leaving task `t`, in edge-list order.
+fn own_out_edges(g: &TaskGraph) -> Vec<Vec<&Edge>> {
+    let mut out: Vec<Vec<&Edge>> = vec![Vec::new(); g.task_count()];
+    for e in g.edges() {
+        out[e.src.index()].push(e);
+    }
+    out
+}
 
 /// Kahn's algorithm over the raw edge list. Returns `None` on a cycle.
 fn own_topo_order(g: &TaskGraph) -> Option<Vec<TaskId>> {
     let n = g.task_count();
     let mut indegree = vec![0usize; n];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     for e in g.edges() {
         indegree[e.dst.index()] += 1;
-        succs[e.src.index()].push(e.dst.index());
     }
+    let out_edges = own_out_edges(g);
     let mut frontier: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
     let mut order = Vec::with_capacity(n);
     while let Some(i) = frontier.pop() {
         order.push(TaskId(i as u32));
-        for &s in &succs[i] {
+        for e in &out_edges[i] {
+            let s = e.dst.index();
             indegree[s] -= 1;
             if indegree[s] == 0 {
                 frontier.push(s);
@@ -298,12 +310,11 @@ fn own_boundary_words(g: &TaskGraph, assignment: &[u32], n: u32, mode: MemoryMod
         MemoryMode::Net => {
             // One stored copy per produced value, live until its last
             // consumer's segment.
+            let out_edges = own_out_edges(g);
             for (t, task) in g.tasks() {
                 let ps = assignment[t.index()];
-                let last = g
-                    .edges()
+                let last = out_edges[t.index()]
                     .iter()
-                    .filter(|e| e.src == t)
                     .map(|e| assignment[e.dst.index()])
                     .max()
                     .unwrap_or(ps);
@@ -320,7 +331,7 @@ fn own_boundary_words(g: &TaskGraph, assignment: &[u32], n: u32, mode: MemoryMod
 /// `m_i_temp` accounting: environment words counted once per
 /// consuming/producing partition, net semantics for inter-task values —
 /// a consumer reads at most the producer's stored value).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct SegIo {
     env_in: u64,
     cross_in: u64,
@@ -353,10 +364,11 @@ fn own_segment_io(g: &TaskGraph, assignment: &[u32], n: u32) -> Vec<SegIo> {
             io[p as usize].env_out += port.words;
         }
     }
+    let out_edges = own_out_edges(g);
     for (t, task) in g.tasks() {
         let ps = assignment[t.index()];
         let mut words_into: Vec<(u32, u64)> = Vec::new();
-        for e in g.edges().iter().filter(|e| e.src == t) {
+        for e in &out_edges[t.index()] {
             let pd = assignment[e.dst.index()];
             if pd == ps {
                 continue;
@@ -1202,6 +1214,128 @@ mod tests {
             .any(|d| d.rule == rules::SCHEDULE_TRUNCATED));
         let clean = vec![vec![TaskId(0)], vec![TaskId(1), TaskId(2)]];
         assert_eq!(audit_segments(&g, &clean), Vec::new());
+    }
+
+    /// Reference for `own_boundary_words`: the same accounting with, in
+    /// Net mode, one scan of the whole edge list per producer.
+    fn reference_boundary_words(
+        g: &TaskGraph,
+        assignment: &[u32],
+        n: u32,
+        mode: MemoryMode,
+    ) -> Vec<u64> {
+        if n <= 1 {
+            return Vec::new();
+        }
+        let mut out = vec![0u64; (n - 1) as usize];
+        match mode {
+            MemoryMode::Edge => {
+                for e in g.edges() {
+                    let (ps, pd) = (assignment[e.src.index()], assignment[e.dst.index()]);
+                    for b in ps..pd.min(n) {
+                        out[b as usize] += e.words;
+                    }
+                }
+            }
+            MemoryMode::Net => {
+                for (t, task) in g.tasks() {
+                    let ps = assignment[t.index()];
+                    let last = g
+                        .edges()
+                        .iter()
+                        .filter(|e| e.src == t)
+                        .map(|e| assignment[e.dst.index()])
+                        .max()
+                        .unwrap_or(ps);
+                    for b in ps..last.min(n) {
+                        out[b as usize] += task.output_words;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Reference for `own_segment_io`: the same accounting with one scan
+    /// of the whole edge list per producer.
+    fn reference_segment_io(g: &TaskGraph, assignment: &[u32], n: u32) -> Vec<SegIo> {
+        let mut io = vec![SegIo::default(); n as usize];
+        for (_, port) in g.env_inputs() {
+            let mut parts: Vec<u32> = port.tasks.iter().map(|&t| assignment[t.index()]).collect();
+            parts.sort_unstable();
+            parts.dedup();
+            for p in parts {
+                io[p as usize].env_in += port.words;
+            }
+        }
+        for (_, port) in g.env_outputs() {
+            let mut parts: Vec<u32> = port.tasks.iter().map(|&t| assignment[t.index()]).collect();
+            parts.sort_unstable();
+            parts.dedup();
+            for p in parts {
+                io[p as usize].env_out += port.words;
+            }
+        }
+        for (t, task) in g.tasks() {
+            let ps = assignment[t.index()];
+            let mut words_into: Vec<(u32, u64)> = Vec::new();
+            for e in g.edges().iter().filter(|e| e.src == t) {
+                let pd = assignment[e.dst.index()];
+                if pd == ps {
+                    continue;
+                }
+                match words_into.iter_mut().find(|(p, _)| *p == pd) {
+                    Some((_, w)) => *w += e.words,
+                    None => words_into.push((pd, e.words)),
+                }
+            }
+            if !words_into.is_empty() {
+                io[ps as usize].cross_out += task.output_words;
+                for (p, w) in words_into {
+                    io[p as usize].cross_in += w.min(task.output_words);
+                }
+            }
+        }
+        io
+    }
+
+    #[test]
+    fn out_edge_index_matches_the_quadratic_references() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use sparcs_dfg::gen::{scaled, ScaledConfig};
+        let mut rng = StdRng::seed_from_u64(16);
+        for seed in 0..8u64 {
+            let g = scaled(&ScaledConfig::preset(65 + 30 * seed as u32), seed);
+            let order = own_topo_order(&g).unwrap();
+            for n in [1u32, 2, 3, 7, 20] {
+                // Uniform draws run many edges backwards; segments follow
+                // topological position in the forward assignment; only the
+                // first and last segments are used in the sparse one.
+                let random: Vec<u32> = g.task_ids().map(|_| rng.gen_range(0..n)).collect();
+                let mut forward = vec![0u32; g.task_count()];
+                for (pos, t) in order.iter().enumerate() {
+                    forward[t.index()] = (pos * n as usize / order.len()) as u32;
+                }
+                let sparse: Vec<u32> = g
+                    .task_ids()
+                    .map(|_| if rng.gen_bool(0.5) { 0 } else { n - 1 })
+                    .collect();
+                for a in [&random, &forward, &sparse] {
+                    for mode in [MemoryMode::Net, MemoryMode::Edge] {
+                        assert_eq!(
+                            own_boundary_words(&g, a, n, mode),
+                            reference_boundary_words(&g, a, n, mode),
+                            "seed {seed}, N = {n}, {mode:?}"
+                        );
+                    }
+                    assert_eq!(
+                        own_segment_io(&g, a, n),
+                        reference_segment_io(&g, a, n),
+                        "seed {seed}, N = {n}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
