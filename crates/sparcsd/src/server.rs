@@ -7,11 +7,19 @@
 //! [`Journal`] behind one mutex (every mutation is journal-append *then*
 //! in-memory apply, so memory is always a pure function of the durable
 //! prefix), a pool of worker threads claiming jobs under that lock, and a
-//! nonblocking accept loop handing each connection to a scoped thread.
+//! blocking accept loop handing each connection to a scoped thread.
 //! One condvar wakes both workers (new/requeued jobs) and clients blocked
-//! in `Result { wait_ms }`. No worker claims a submitted job before the
-//! connection thread has written its ack, so a crash on the claim path
-//! can never cost a client the id of a job the journal already holds.
+//! in `Result { wait_ms }`. Every event that makes a job claimable or
+//! settled is applied under the state lock, and waiters check and wait on
+//! that one guard, so no wakeup is lost. No worker claims a submitted job
+//! before the connection thread has written its ack, so a crash on the
+//! claim path can never cost a client the id of a job the journal already
+//! holds.
+//!
+//! `Shutdown` sets a flag and then connects once to the daemon's own
+//! socket, so the blocked `accept` returns and the loop sees the flag.
+//! The listener closes at once; pending `Result` waits answer
+//! `not-done`; only in-flight solves are waited for.
 //!
 //! ## Serving tiers
 //!
@@ -151,7 +159,8 @@ struct Shared {
     /// reaping.
     cancels: Mutex<HashMap<u64, CancelToken>>,
     /// Jobs journaled by `submit` whose ack `handle_conn` has not yet
-    /// written; workers skip them. Taken after `state` when both are held.
+    /// written; workers skip them. Changed only while `state` is held, and
+    /// taken after it.
     /// Empty after replay: a restarted daemon owes no ack.
     unacked: Mutex<HashSet<u64>>,
     cache: PartitionCache,
@@ -452,9 +461,13 @@ fn run_job(shared: &Shared, job: u64, spec: &JobSpec, attempt: u32) {
 /// One worker thread: reap expired leases, claim, execute, repeat.
 fn worker_loop(shared: &Shared, index: usize) {
     let name = format!("worker-{index}");
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    loop {
+        let mut st = shared.state.lock().expect("state lock");
+        // `Shutdown` sets the flag under this lock, then wakes everyone.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
         let claimed = {
-            let mut st = shared.state.lock().expect("state lock");
             let now = Instant::now();
             // Reap orphaned claims (dead or hung workers) first.
             for (orphan, attempts) in st.graph.expired_claims(now) {
@@ -520,9 +533,14 @@ fn worker_loop(shared: &Shared, index: usize) {
             }
         };
         match claimed {
-            Some((job, spec, attempt)) => run_job(shared, job, &spec, attempt),
+            Some((job, spec, attempt)) => {
+                drop(st);
+                run_job(shared, job, &spec, attempt);
+            }
+            // Waits on the guard the claim check held: an ack that frees
+            // a job does so under this lock, so its wakeup cannot fall
+            // between the check and the wait.
             None => {
-                let st = shared.state.lock().expect("state lock");
                 let _ = shared
                     .wakeup
                     .wait_timeout(st, Duration::from_millis(50))
@@ -629,6 +647,12 @@ fn result(shared: &Shared, job: u64, wait_ms: Option<u64>) -> Response {
                 let Some(d) = deadline else {
                     return err("not-done", format!("job is {phase}"));
                 };
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return err(
+                        "not-done",
+                        format!("job is still {phase}; the daemon is shutting down"),
+                    );
+                }
                 if now >= d {
                     return err("not-done", format!("job is still {phase} after the wait"));
                 }
@@ -707,15 +731,26 @@ fn dispatch(shared: &Shared, req: Request) -> Response {
         Request::Cancel { job } => cancel(shared, job),
         Request::Stats => stats(shared),
         Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            // Set under the state lock, so a `Result` waiter either sees
+            // the flag or is already waiting when the wakeup comes.
+            let first = {
+                let _st = shared.state.lock().expect("state lock");
+                !shared.shutdown.swap(true, Ordering::SeqCst)
+            };
             shared.wakeup.notify_all();
+            // The accept loop checks the flag after every accept: one
+            // connection of our own unblocks it.
+            if first {
+                if let Err(e) = UnixStream::connect(&shared.config.socket) {
+                    eprintln!("sparcsd: could not wake the accept loop: {e}");
+                }
+            }
             Response::Ok
         }
     }
 }
 
 fn handle_conn(shared: &Shared, stream: UnixStream) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let mut line = String::new();
     if BufReader::new(&stream).read_line(&mut line).is_err() {
@@ -727,8 +762,12 @@ fn handle_conn(shared: &Shared, stream: UnixStream) {
     };
     reply(&stream, &response);
     if let Response::Submitted { job } = response {
-        // The ack went out or never will: the job is claimable now.
+        // The ack went out or never will: the job is claimable now. Freed
+        // under the state lock, so a worker is either still before its
+        // claim check or already waiting when the wakeup comes.
+        let st = shared.state.lock().expect("state lock");
         shared.unacked.lock().expect("unacked lock").remove(&job);
+        drop(st);
         shared.wakeup.notify_all();
     }
 }
@@ -772,6 +811,12 @@ fn bind_socket(path: &std::path::Path) -> io::Result<UnixListener> {
 /// Runs the daemon until a `Shutdown` request arrives. Replays the
 /// journal, binds the socket, spawns the workers, and serves.
 ///
+/// The accept loop blocks in `accept`; `Shutdown` wakes it by connecting
+/// to the socket once. The loop then drops that connection unserved,
+/// closes the listener and removes the socket file, so later clients get
+/// an error at once. Pending `Result` waits answer `not-done`, workers
+/// claim nothing new, and `run` returns when the in-flight solves finish.
+///
 /// # Errors
 ///
 /// Startup failures only (journal/store/socket I/O); serving errors are
@@ -782,7 +827,6 @@ pub fn run(config: Config) -> io::Result<()> {
     let graph = JobGraph::replay(&replay.events);
     let store = ResultStore::open(&config.store_dir)?;
     let listener = bind_socket(&config.socket)?;
-    listener.set_nonblocking(true)?;
     let replayed = replay.events.len() as u64;
     let shared = Shared {
         state: Mutex::new(State { graph, journal }),
@@ -807,13 +851,15 @@ pub fn run(config: Config) -> io::Result<()> {
         for index in 0..shared.config.workers.max(1) {
             s.spawn(move || worker_loop(shared, index));
         }
-        while !shared.shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
+        loop {
+            let accepted = listener.accept();
+            // The wake connection, or a client that raced it: unserved.
+            if shared.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            match accepted {
                 Ok((stream, _)) => {
                     s.spawn(move || handle_conn(shared, stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
                 }
                 Err(e) => {
                     eprintln!("sparcsd: accept failed: {e}");
@@ -821,9 +867,9 @@ pub fn run(config: Config) -> io::Result<()> {
                 }
             }
         }
-        shared.wakeup.notify_all();
+        drop(listener);
+        let _ = std::fs::remove_file(&shared.config.socket);
     });
-    let _ = std::fs::remove_file(&shared.config.socket);
     Ok(())
 }
 

@@ -10,7 +10,9 @@
 
 use sparcs::dfg::gen::{self, LayeredConfig};
 use sparcs::dfg::parse;
-use sparcs::service::{Client, JobSpec, Request, Response, ResultSummary, ServiceStats};
+use sparcs::service::{Client, JobPhase, JobSpec, Request, Response, ResultSummary, ServiceStats};
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -108,17 +110,19 @@ fn stats_of(client: &Client) -> ServiceStats {
     }
 }
 
+/// Sends `Shutdown` and requires the daemon to exit within 20 s; one that
+/// does not is killed and fails the test.
 fn shutdown(client: &Client, child: &mut Child) {
     let _ = client.request(&Request::Shutdown);
     let deadline = Instant::now() + Duration::from_secs(20);
     while child.try_wait().expect("try_wait").is_none() {
         if Instant::now() > deadline {
             let _ = child.kill();
-            break;
+            let _ = child.wait();
+            panic!("the daemon did not exit within 20 s of its shutdown");
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-    let _ = child.wait();
 }
 
 /// The uninterrupted run every crash case is compared against.
@@ -349,5 +353,107 @@ fn dropped_replies_surface_as_io_errors_and_retries_succeed() {
         "after the armed drop, requests flow again: {probe:?}"
     );
     shutdown(&client, &mut child);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `Shutdown` answers a pending `Result` wait at once instead of keeping
+/// the process alive until the wait expires, and it waits only for the
+/// in-flight solve. Clients that connect during that drain get an error
+/// at once. The waited-for job stays journaled and completes after a
+/// restart.
+#[test]
+fn shutdown_answers_pending_waits_and_waits_only_for_in_flight_solves() {
+    let root = fresh_root("shutdown-wait");
+    // The one worker stalls 3 s on its first claim (job A), so job B
+    // stays queued behind it.
+    let (mut child, client) = spawn_daemon(
+        &root,
+        "waity",
+        "store",
+        Some("worker.claim.post=delay:3000"),
+        &[],
+    );
+    wait_ready(&client);
+    let a = client.submit(JobSpec::new(fig4_text())).expect("A acked");
+    let claimed_by = Instant::now() + Duration::from_secs(20);
+    while !matches!(
+        client.request(&Request::Status { job: a }),
+        Ok(Response::Status {
+            phase: JobPhase::Running,
+            ..
+        })
+    ) {
+        assert!(Instant::now() < claimed_by, "the worker never claimed A");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let b = client
+        .submit(JobSpec::new(parse::to_text(&gen::chain(4, 120, 90, 4))))
+        .expect("B acked");
+
+    // The waiter connects before the `Shutdown` does, so the daemon
+    // accepts and serves it first.
+    let mut waiter = UnixStream::connect(client.socket()).expect("waiter connects");
+    let wait = Request::Result {
+        job: b,
+        wait_ms: Some(60_000),
+    };
+    let line = serde_json::to_string(&wait).expect("request encodes");
+    waiter
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("waiter writes");
+    let waiter = std::thread::spawn(move || {
+        let mut reply = String::new();
+        BufReader::new(waiter).read_line(&mut reply).map(|_| reply)
+    });
+    let t0 = Instant::now();
+    let ack = client.request(&Request::Shutdown);
+
+    let late = client
+        .clone()
+        .with_timeout(Some(Duration::from_secs(10)))
+        .request(&Request::Stats);
+    let late_ms = t0.elapsed().as_millis();
+    let draining = child.try_wait().expect("try_wait").is_none();
+
+    let limit = t0 + Duration::from_secs(15);
+    while !(waiter.is_finished() && child.try_wait().expect("try_wait").is_some())
+        && Instant::now() < limit
+    {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let waiter_done = waiter.is_finished();
+    let exited = child.try_wait().expect("try_wait");
+    let _ = child.kill();
+    let _ = child.wait();
+
+    assert_eq!(ack.expect("shutdown acked"), Response::Ok);
+    assert!(waiter_done, "the pending wait was not answered within 15 s");
+    assert!(
+        exited.is_some_and(|status| status.success()),
+        "the daemon did not exit cleanly within 15 s: {exited:?}"
+    );
+    assert!(
+        late.is_err() && late_ms < 5_000,
+        "a request during the drain must fail at once: {late:?} after {late_ms} ms"
+    );
+    assert!(draining, "the probe must have met the draining daemon");
+    let reply = waiter
+        .join()
+        .expect("waiter thread")
+        .expect("the waiter reads a reply");
+    match serde_json::from_str(reply.trim_end()).expect("reply parses") {
+        Response::Error { code, message } => {
+            assert_eq!(code, "not-done");
+            assert!(message.contains("shutting down"), "{message}");
+        }
+        other => panic!("a pending wait must answer not-done: {other:?}"),
+    }
+
+    // Restart without faults: A finished during the drain, B runs now.
+    let (mut revived, client) = spawn_daemon(&root, "waity", "store", None, &[]);
+    wait_ready(&client);
+    assert!(result_of(&client, a).latency_ns > 0);
+    assert!(result_of(&client, b).latency_ns > 0);
+    shutdown(&client, &mut revived);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -100,7 +100,9 @@ pub enum Request {
         job: u64,
     },
     /// Fetch a finished job's certified result. With `wait_ms` the daemon
-    /// holds the request until the job settles or the wait expires.
+    /// holds the request until the job settles or the wait expires. A
+    /// wait still pending when the daemon shuts down answers `not-done`
+    /// at once; the job stays journaled and runs after a restart.
     Result {
         /// Job id from [`Response::Submitted`].
         job: u64,
