@@ -19,12 +19,12 @@
 //!   stays in [`crate::simplex`] because it carries the
 //!   remaining-violation recurrence.
 //!
-//! The [`reference`] submodule keeps the original fused scalar loops.
-//! They are the specification: proptests assert the fissioned passes make
-//! *bit-identical* selections (same leaving row, same candidate set in the
-//! same order), and `sparcs_bench`'s `kernel_regression` test races the
-//! two pricing forms as a CI throughput gate. Both variants are `pub` for
-//! exactly that reason — they are not a general-purpose API.
+//! The original fused scalar loops are the specification. They live in
+//! this crate's integration test `tests/kernels.rs`, which asserts the
+//! fissioned passes make *bit-identical* selections (same leaving row,
+//! same candidate set in the same order) and races the two pricing forms
+//! as a CI throughput gate. The fissioned passes are `pub` for the
+//! solver and that test — they are not a general-purpose API.
 
 /// Where a nonbasic column rests, as the kernels see it (a `u8`-sized
 /// mirror of the workspace's status array so candidate scans read one flat
@@ -151,134 +151,9 @@ pub fn dual_ratio_scan(
     }
 }
 
-/// The original fused scalar loops, kept as the executable specification
-/// for the fissioned passes above. Proptests assert equivalence; the
-/// `kernel_regression` CI gate races the pricing pair.
-pub mod reference {
-    use super::ColStatus;
-
-    /// Fused dual steepest-edge pricing: classification, scoring and
-    /// selection interleaved in one loop, exactly as the solver ran it
-    /// before fission. Returns the selected row position.
-    pub fn dual_price(
-        xb: &[f64],
-        lo_b: &[f64],
-        hi_b: &[f64],
-        dse: &[f64],
-        feas_tol: f64,
-    ) -> Option<usize> {
-        let mut leave: Option<(usize, f64)> = None;
-        for r in 0..xb.len() {
-            let v = xb[r];
-            let viol = if v < lo_b[r] - feas_tol {
-                lo_b[r] - v
-            } else if v > hi_b[r] + feas_tol {
-                v - hi_b[r]
-            } else {
-                continue;
-            };
-            let score = viol * viol / dse[r].max(1e-10);
-            if leave.is_none_or(|(_, best)| score > best) {
-                leave = Some((r, score));
-            }
-        }
-        leave.map(|(r, _)| r)
-    }
-
-    /// Fused dual ratio-test candidate collection: the eligibility test,
-    /// ratio computation and push in one dense loop over every column,
-    /// exactly as the solver ran it before fission.
-    #[allow(clippy::too_many_arguments)]
-    pub fn dual_ratio(
-        status: &[ColStatus],
-        lo: &[f64],
-        hi: &[f64],
-        d: &[f64],
-        alpha: &[f64],
-        below: bool,
-        floor: f64,
-        cands: &mut Vec<(f64, u32)>,
-    ) {
-        cands.clear();
-        for j in 0..status.len() {
-            if status[j] == ColStatus::Basic || lo[j] >= hi[j] {
-                continue;
-            }
-            let a = alpha[j];
-            let eligible = match (status[j], below) {
-                (ColStatus::AtLower, true) => a < -floor,
-                (ColStatus::AtLower, false) => a > floor,
-                (ColStatus::AtUpper, true) => a > floor,
-                (ColStatus::AtUpper, false) => a < -floor,
-                (ColStatus::Free, _) => a.abs() > floor,
-                (ColStatus::Basic, _) => false,
-            };
-            if !eligible {
-                continue;
-            }
-            let dj = match status[j] {
-                ColStatus::AtLower => d[j].max(0.0),
-                ColStatus::AtUpper => (-d[j]).max(0.0),
-                _ => d[j].abs(),
-            };
-            cands.push((dj / a.abs(), j as u32)); // cast-ok: j < var_count, which is Var(u32)-bounded
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Deterministic pseudo-random f64 in [-scale, scale].
-    fn prand(seed: u64, i: u64, scale: f64) -> f64 {
-        let mut z = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        ((z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * scale
-    }
-
-    #[test]
-    fn fissioned_pricing_matches_reference_on_random_rows() {
-        for seed in 0..64u64 {
-            let m = 1 + (seed as usize * 7) % 40;
-            let xb: Vec<f64> = (0..m).map(|r| prand(seed, r as u64, 4.0)).collect();
-            let lo_b: Vec<f64> = (0..m).map(|r| prand(seed ^ 1, r as u64, 2.0)).collect();
-            let hi_b: Vec<f64> = lo_b
-                .iter()
-                .enumerate()
-                .map(|(r, &l)| l + prand(seed ^ 2, r as u64, 2.0).abs())
-                .collect();
-            let dse: Vec<f64> = (0..m)
-                .map(|r| prand(seed ^ 3, r as u64, 2.0).abs().max(1e-4))
-                .collect();
-            let mut viols = vec![0.0; m];
-            dual_price_scan(&xb, &lo_b, &hi_b, 1e-7, &mut viols);
-            assert_eq!(
-                dual_price_argmax(&viols, &dse),
-                reference::dual_price(&xb, &lo_b, &hi_b, &dse, 1e-7),
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn pricing_picks_first_of_tied_scores() {
-        // Two rows violate by the same amount with equal weights: the fused
-        // loop keeps the first, so the fissioned argmax must too.
-        let xb = [2.0, -1.0, 2.0];
-        let lo_b = [0.0, 0.0, 0.0];
-        let hi_b = [1.0, 1.0, 1.0];
-        let dse = [1.0, 1.0, 1.0];
-        let mut viols = vec![0.0; 3];
-        dual_price_scan(&xb, &lo_b, &hi_b, 1e-7, &mut viols);
-        assert_eq!(dual_price_argmax(&viols, &dse), Some(0));
-        assert_eq!(
-            reference::dual_price(&xb, &lo_b, &hi_b, &dse, 1e-7),
-            Some(0)
-        );
-    }
 
     #[test]
     fn feasible_rows_price_to_none() {
@@ -289,40 +164,5 @@ mod tests {
         let mut viols = vec![0.0; 3];
         dual_price_scan(&xb, &lo_b, &hi_b, 1e-7, &mut viols);
         assert_eq!(dual_price_argmax(&viols, &dse), None);
-    }
-
-    #[test]
-    fn fissioned_ratio_scan_matches_reference_on_random_columns() {
-        for seed in 0..64u64 {
-            let n = 4 + (seed as usize * 11) % 80;
-            let status: Vec<ColStatus> = (0..n)
-                .map(|j| match (prand(seed, j as u64, 1.0) * 4.0).abs() as u32 {
-                    0 => ColStatus::Basic,
-                    1 => ColStatus::AtUpper,
-                    2 => ColStatus::Free,
-                    _ => ColStatus::AtLower,
-                })
-                .collect();
-            let lo: Vec<f64> = (0..n).map(|j| prand(seed ^ 5, j as u64, 1.0)).collect();
-            let hi: Vec<f64> = lo
-                .iter()
-                .enumerate()
-                // A quarter of the columns end up fixed (hi == lo).
-                .map(|(j, &l)| l + prand(seed ^ 6, j as u64, 1.0).abs().floor())
-                .collect();
-            let d: Vec<f64> = (0..n).map(|j| prand(seed ^ 7, j as u64, 3.0)).collect();
-            let alpha: Vec<f64> = (0..n).map(|j| prand(seed ^ 8, j as u64, 2.0)).collect();
-            let nonbasic: Vec<u32> = (0..n as u32)
-                .filter(|&j| status[j as usize] != ColStatus::Basic)
-                .collect();
-            for below in [false, true] {
-                let (mut fis, mut refr) = (Vec::new(), Vec::new());
-                dual_ratio_scan(
-                    &nonbasic, &status, &lo, &hi, &d, &alpha, below, 1e-7, &mut fis,
-                );
-                reference::dual_ratio(&status, &lo, &hi, &d, &alpha, below, 1e-7, &mut refr);
-                assert_eq!(fis, refr, "seed {seed} below {below}");
-            }
-        }
     }
 }

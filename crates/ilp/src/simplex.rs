@@ -27,9 +27,9 @@
 //! candidate-gather over the maintained nonbasic index list plus the
 //! sequential bound-flip selection that carries the recurrence. The
 //! fissioned forms are arithmetic-preserving — same operations, order and
-//! tie-breaks as the fused scalar references kept in
-//! [`crate::kernels::reference`] — so the pivot trajectory is
-//! bit-identical; only the rate changes (see `BENCH_ilp.json`).
+//! tie-breaks as the fused scalar references kept in this crate's
+//! `tests/kernels.rs` — so the pivot trajectory is bit-identical; only
+//! the rate changes (see `BENCH_ilp.json`).
 //!
 //! The public [`solve_lp`]/[`solve_lp_with_bounds`] entry points keep their
 //! original signatures; [`Workspace`] is the crate-internal warm-start

@@ -89,93 +89,6 @@ impl MemoryBank {
         }
         Ok(&mut self.words[address as usize..end as usize])
     }
-
-    /// Like [`MemoryBank::write_strided`], but reading each row out of a
-    /// strided source image instead of contiguous rows: row `i` is
-    /// `src[i*src_stride + src_offset..][..width]`, landing at
-    /// `offset + i*stride`. This lets the store phase mirror a whole chunk
-    /// of history rows into the bank with one bounds check instead of one
-    /// bank call per slot.
-    ///
-    /// # Errors
-    ///
-    /// [`BoardError::OutOfBounds`] when any destination row exceeds
-    /// capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `src.len()` is not a multiple of `src_stride`, a source
-    /// row would overrun its stride, or `width` exceeds `stride`.
-    pub fn write_strided_from(
-        &mut self,
-        offset: u64,
-        stride: u64,
-        width: usize,
-        src: &[i32],
-        src_stride: usize,
-        src_offset: usize,
-    ) -> Result<(), BoardError> {
-        assert!(width as u64 <= stride, "strided rows must not overlap");
-        assert!(
-            src_offset + width <= src_stride,
-            "source row exceeds its stride"
-        );
-        assert_eq!(src.len() % src_stride.max(1), 0, "src must be whole rows");
-        let rows = src.len().checked_div(src_stride).unwrap_or(0);
-        if rows == 0 || width == 0 {
-            return Ok(());
-        }
-        let last_end = offset + (rows as u64 - 1) * stride + width as u64;
-        if last_end > self.capacity() {
-            return Err(BoardError::OutOfBounds {
-                address: last_end - 1,
-            });
-        }
-        for (i, row) in src.chunks_exact(src_stride).enumerate() {
-            let at = (offset + i as u64 * stride) as usize;
-            self.words[at..at + width].copy_from_slice(&row[src_offset..src_offset + width]);
-        }
-        Ok(())
-    }
-
-    /// Writes `data` as whole rows of `width` words placed `stride` words
-    /// apart starting at `offset` — the store-all phase scattering a
-    /// contiguous per-batch buffer back into the bank's strided layout in
-    /// one bounds-checked call.
-    ///
-    /// # Errors
-    ///
-    /// [`BoardError::OutOfBounds`] when the last row exceeds capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` exceeds `stride` (rows would overlap) or
-    /// `data.len()` is not a multiple of `width`.
-    pub fn write_strided(
-        &mut self,
-        offset: u64,
-        stride: u64,
-        width: usize,
-        data: &[i32],
-    ) -> Result<(), BoardError> {
-        assert!(width as u64 <= stride, "strided rows must not overlap");
-        assert_eq!(data.len() % width.max(1), 0, "data must be whole rows");
-        let rows = data.len().checked_div(width).unwrap_or(0);
-        if rows == 0 {
-            return Ok(());
-        }
-        let last_end = offset + (rows as u64 - 1) * stride + width as u64;
-        if last_end > self.capacity() {
-            return Err(BoardError::OutOfBounds {
-                address: last_end - 1,
-            });
-        }
-        for (i, row) in data.chunks_exact(width).enumerate() {
-            let at = (offset + i as u64 * stride) as usize;
-            self.words[at..at + width].copy_from_slice(row);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -28,21 +28,22 @@ use std::sync::Arc;
 /// unrepresentable.
 pub type Kernel = Arc<dyn Fn(&[i32], &mut [i32]) + Send + Sync>;
 
-/// A lane-parallel (structure-of-arrays) variant of [`Kernel`].
+/// The lane-parallel (structure-of-arrays) form of [`Kernel`] — the only
+/// form the host drivers execute.
 ///
 /// Called as `batch_kernel(lanes, ins, outs, scratch)` where `ins` holds
 /// the configuration's input words transposed into `input_words` rows of
 /// `lanes` values each (row *r* at `ins[r*lanes..(r+1)*lanes]`, one value
 /// per computation lane) and `outs` likewise holds `output_words` rows of
-/// `lanes` values to fill. Hosts never pass more than
+/// `lanes` values to fill. Hosts pass between one and
 /// [`MAX_BATCH_LANES`] lanes per call, so kernels may size fixed scratch
 /// against that bound. `scratch` is a host-owned buffer reused across
 /// calls: kernels may grow it and must not assume it arrives zeroed.
 ///
-/// A batch kernel is an *optimization*, not a semantic extension: for
-/// every lane it must produce exactly what the configuration's scalar
-/// [`Kernel`] produces for the same inputs — the host drivers treat the
-/// two as interchangeable and the equivalence proptests hold them to it.
+/// For every lane a batch kernel must produce exactly what the
+/// configuration's scalar [`Kernel`] — the per-computation reference —
+/// produces for the same inputs; the equivalence proptests hold it to
+/// that.
 pub type BatchKernel = Arc<dyn Fn(usize, &[i32], &mut [i32], &mut Vec<i32>) + Send + Sync>;
 
 /// Upper bound on the `lanes` argument of a [`BatchKernel`] call. Chosen
@@ -65,11 +66,13 @@ pub struct Configuration {
     /// Memory-block size per computation (defaults to inputs + outputs —
     /// the paper's `m_i_temp`; larger under power-of-two rounding).
     pub block_words: u64,
-    /// The computation itself (per-computation reference form).
+    /// The computation itself (per-computation reference form, run by
+    /// [`RtrDesign::compute_one`] and [`RtrDesign::to_static`]).
     pub kernel: Kernel,
-    /// Optional lane-parallel form of [`Self::kernel`]; when present the
-    /// fissioned batch drivers use it for the compute-all phase.
-    pub batch_kernel: Option<BatchKernel>,
+    /// The lane-parallel form of [`Self::kernel`] the host drivers run:
+    /// a per-lane adapter over the scalar kernel unless
+    /// [`Self::with_batch_kernel`] attached a native one.
+    pub batch_kernel: BatchKernel,
 }
 
 impl fmt::Debug for Configuration {
@@ -86,7 +89,11 @@ impl fmt::Debug for Configuration {
 
 impl Configuration {
     /// Creates a configuration reading the given history words. The block
-    /// defaults to exactly `inputs + outputs` words.
+    /// defaults to exactly `inputs + outputs` words. Its batch kernel is a
+    /// per-lane adapter: for each lane it gathers the lane's input column
+    /// into `scratch`, runs the scalar kernel there, and scatters the
+    /// outputs back — correct for any kernel, and allocation-free once
+    /// `scratch` holds one row of inputs and outputs.
     ///
     /// # Panics
     ///
@@ -103,25 +110,42 @@ impl Configuration {
             "a configuration must move data"
         );
         let block_words = input_selector.len() as u64 + output_words;
+        let kernel: Kernel = Arc::new(kernel);
+        let scalar = Arc::clone(&kernel);
+        let batch_kernel =
+            move |lanes: usize, ins: &[i32], outs: &mut [i32], scratch: &mut Vec<i32>| {
+                let (iw, ow) = (ins.len() / lanes.max(1), outs.len() / lanes.max(1));
+                scratch.resize(iw + ow, 0);
+                let (row_in, row_out) = scratch.split_at_mut(iw);
+                for l in 0..lanes {
+                    for (d, src) in row_in.iter_mut().zip(ins.chunks_exact(lanes)) {
+                        *d = src[l];
+                    }
+                    scalar(row_in, row_out);
+                    for (&v, dst) in row_out.iter().zip(outs.chunks_exact_mut(lanes)) {
+                        dst[l] = v;
+                    }
+                }
+            };
         Configuration {
             name: name.into(),
             delay_per_computation_ns,
             input_selector,
             output_words,
             block_words,
-            kernel: Arc::new(kernel),
-            batch_kernel: None,
+            kernel,
+            batch_kernel: Arc::new(batch_kernel),
         }
     }
 
-    /// Attaches a lane-parallel (SoA) variant of the kernel — see
-    /// [`BatchKernel`] for the layout contract. The scalar kernel stays
-    /// authoritative; the batch form must match it lane for lane.
+    /// Replaces the per-lane adapter with a native lane-parallel kernel —
+    /// see [`BatchKernel`] for the layout contract. The scalar kernel stays
+    /// the reference; the batch form must match it lane for lane.
     pub fn with_batch_kernel(
         mut self,
         batch_kernel: impl Fn(usize, &[i32], &mut [i32], &mut Vec<i32>) + Send + Sync + 'static,
     ) -> Self {
-        self.batch_kernel = Some(Arc::new(batch_kernel));
+        self.batch_kernel = Arc::new(batch_kernel);
         self
     }
 
@@ -262,10 +286,10 @@ impl RtrDesign {
         self.output_selector.len() as u64
     }
 
-    /// Runs one computation through every kernel (no timing, no memory
-    /// model), slot-at-a-time with per-stage temporaries — the scalar
-    /// *reference specification* the fissioned batch drivers in
-    /// [`crate::host`] are checked against.
+    /// Runs one computation through every scalar kernel (no timing, no
+    /// memory model), with per-stage temporaries — the *reference
+    /// specification* the lane-chunked batch drivers in [`crate::host`]
+    /// are checked against.
     ///
     /// # Panics
     ///

@@ -13,23 +13,28 @@
 //! `k` computations' input words from an [`InputSource`], stages it through
 //! the board memory, runs every slot's kernel, and pushes the batch's real
 //! outputs into an [`OutputSink`] before touching the next batch. Host
-//! buffers are therefore bounded by the batch geometry (`k · block_words`
-//! per partition, plus the per-slot value histories whose length is fixed
-//! by the design) — never by the workload size `I`, so a synthetic
-//! multi-gigabyte stream runs at constant memory. The [`TimeReport`]
-//! accumulates incrementally alongside the data.
+//! buffers hold `min(k, I)` slots (at least one): the simulated bank
+//! `slots · max_block_words` words, plus one value history per slot whose
+//! length is fixed by the design. They never grow with the workload, so a
+//! synthetic multi-gigabyte stream runs at constant memory, and a short
+//! stream on a huge board does not allocate the whole board. The
+//! [`TimeReport`] accumulates incrementally alongside the data, charged
+//! per `k`-slot batch from the formulas, not from the buffers.
 //!
 //! Within a batch the RTR drivers are *loop-fissioned* like the designs
-//! they simulate: `execute_batch` runs a load-all pass (stage every
-//! slot's inputs into one contiguous word-major buffer), a compute-all
-//! pass (the configuration's lane-parallel [`crate::design::BatchKernel`]
-//! over flat
-//! slices when it has one, else the scalar [`Configuration::kernel`] per
-//! slot), and a store-all pass (scatter the batch's outputs back through
-//! one strided write). The scalar kernel stays authoritative — streaming
-//! digests pin both forms bit-identical — and [`PhaseProfile`] reports
-//! the host nanoseconds of each pass (the end-to-end benchmark reports
-//! them as `rtr.load.ms`, `rtr.compute.ms` and `rtr.store.ms`).
+//! they simulate. There is one execute path: `execute_batch` walks the
+//! slots in chunks of up to [`MAX_BATCH_LANES`] lanes and runs a load
+//! pass (gather the chunk's inputs, mirror them into the bank, transpose
+//! them to structure-of-arrays rows), a compute pass (one call of the
+//! configuration's [`crate::design::BatchKernel`] over every lane) and a
+//! store pass (scatter the outputs to the histories and the bank). A
+//! configuration without a native batch kernel runs its scalar
+//! [`Configuration::kernel`] through the per-lane adapter that
+//! [`Configuration::new`] installs; the scalar kernel stays the
+//! reference, and streaming tests pin both forms bit-identical.
+//! [`PhaseProfile`] reports the host nanoseconds of each pass (the
+//! end-to-end benchmark reports them as `rtr.load.ms`, `rtr.compute.ms`
+//! and `rtr.store.ms`).
 //!
 //! [`Sequencer::run_slice`] is the slice-in/vector-out convenience over
 //! these drivers ([`SliceSource`] in, [`VecSink`] out), with bit-identical
@@ -293,23 +298,24 @@ impl Sequencer for StaticSequencer<'_> {
 }
 
 /// Reusable per-batch staging for the fissioned RTR drivers, laid out as
-/// flat structure-of-arrays buffers: all `k` slots' value histories live in
+/// flat structure-of-arrays buffers: all slots' value histories live in
 /// one contiguous slot-major vector of fixed stride (the history length is
 /// a design constant), and each phase gathers into or computes over one
 /// contiguous scratch vector reused across batches. Capacity is bounded by
-/// the design geometry, never by the workload — and after warm-up no batch
-/// allocates at all.
+/// the design geometry and `min(k, I)` slots, never by the workload — and
+/// after warm-up no batch allocates at all.
 struct BatchBuffers {
-    /// Staged primary input words for one batch (`k · in_w`).
+    /// Staged primary input words for one batch (`slots · in_w`).
     input: Vec<i32>,
-    /// All slots' value histories, flattened slot-major (`k × stride`).
+    /// All slots' value histories, flattened slot-major (`slots × stride`).
     histories: Vec<i32>,
     /// History words per slot (primary inputs + every stage's outputs).
     stride: usize,
     /// History words currently valid — identical for every slot, because
     /// the fissioned loop advances each stage for the whole batch at once.
     filled: usize,
-    /// Load-phase gather target: every slot's selected inputs, contiguous.
+    /// Load-phase gather target: one lane chunk's selected inputs,
+    /// slot-major.
     gathered: Vec<i32>,
     /// Compute-phase SoA staging: one lane chunk's inputs, transposed to
     /// `input_words` rows of up to [`MAX_BATCH_LANES`] lanes.
@@ -323,8 +329,7 @@ struct BatchBuffers {
 }
 
 impl BatchBuffers {
-    fn new(design: &RtrDesign) -> Self {
-        let k = design.k as usize; // cast-ok: k is a batch width bounded by board memory / block_words
+    fn new(design: &RtrDesign, slots: usize) -> Self {
         let stride = design.primary_input_words as usize // cast-ok: word counts are bounded by board memory, far below usize::MAX
             + design
                 .configurations
@@ -344,15 +349,15 @@ impl BatchBuffers {
             .max()
             .unwrap_or(0);
         BatchBuffers {
-            input: vec![0; k * design.primary_input_words as usize], // cast-ok: word counts are bounded by board memory, far below usize::MAX
-            histories: vec![0; k * stride],
+            input: vec![0; slots * design.primary_input_words as usize], // cast-ok: word counts are bounded by board memory, far below usize::MAX
+            histories: vec![0; slots * stride],
             stride,
             filled: 0,
-            gathered: Vec::with_capacity(k * max_in),
+            gathered: Vec::with_capacity(max_in * MAX_BATCH_LANES),
             soa_in: Vec::with_capacity(max_in * MAX_BATCH_LANES),
             soa_out: Vec::with_capacity(max_out * MAX_BATCH_LANES),
             kernel_scratch: Vec::new(),
-            output: Vec::with_capacity(k * design.output_selector.len()),
+            output: Vec::with_capacity(slots * design.output_selector.len()),
         }
     }
 
@@ -400,29 +405,39 @@ fn rtr_shape(
     Ok((computations, batches))
 }
 
-/// Runs one configuration over all `k` slots as three fissioned passes
-/// over the contiguous batch buffers:
+/// The host-side staging for a stream of `computations`: the simulated
+/// bank and the batch buffers, sized by the slots the stream fills —
+/// `min(k, computations)`, at least one. Only a single-batch stream has
+/// fewer real computations than `k`, and its missing slots would only
+/// ever hold padding.
+fn rtr_staging(design: &RtrDesign, computations: u64) -> (MemoryBank, BatchBuffers) {
+    let slots = design.k.min(computations).max(1);
+    let bank = MemoryBank::new(slots * design.max_block_words());
+    // cast-ok: slots <= k, a batch width bounded by board memory / block_words
+    (bank, BatchBuffers::new(design, slots as usize))
+}
+
+/// Runs one configuration over every slot of the batch — the host's one
+/// execute path. The slots are walked in chunks of up to
+/// [`MAX_BATCH_LANES`] lanes, and each chunk runs three fissioned passes:
 ///
-/// 1. **Load**: gather every slot's selected input words from the flat
-///    history into one contiguous staging vector, then blit each slot's
-///    block through the board memory in one strided write.
-/// 2. **Compute**: run the kernel over the staged input image (bit-identical
-///    to what the load phase just wrote to the bank), writing straight into
-///    the history rows — one pure pass with no board traffic interleaved.
-/// 3. **Store**: mirror each slot's fresh outputs into its board block.
+/// 1. **Load**: gather each lane's selected input words (from the staged
+///    primary image when the selector reads only primary words, else from
+///    the history rows), mirror them into the lane's bank block, and
+///    transpose them to the structure-of-arrays rows the kernel consumes.
+/// 2. **Compute**: one [`BatchKernel`] call covers every lane of the chunk
+///    — a native lane-parallel kernel, or the per-lane adapter over the
+///    scalar kernel.
+/// 3. **Store**: scatter the outputs to the history rows and mirror them
+///    into the bank blocks while still cache-hot; on the last
+///    configuration, also gather the design's output words.
 ///
 /// Slot blocks are disjoint and per-slot computations independent, so the
-/// phase-major order is bit-identical to the old fused slot-major walk —
-/// while each pass runs over flat slices with zero per-slot allocation,
-/// exactly the scan/recurrence split the paper's loop fission prescribes.
+/// chunked order is bit-identical to a slot-at-a-time walk. The chunk size
+/// keeps the whole working set — staged inputs, SoA rows, history rows and
+/// bank blocks — cache-resident across all three passes.
 ///
-/// Configurations that provide a lane-parallel [`BatchKernel`] run the
-/// three phases per chunk of [`MAX_BATCH_LANES`] lanes instead of per
-/// batch: gather the chunk slot-major (for the bank blit), transpose it to
-/// SoA rows, compute every lane at once, then scatter the outputs to the
-/// history rows and the bank. The chunk size is chosen so the whole
-/// working set — staged inputs, SoA rows, history rows and bank blocks —
-/// stays cache-resident across all three phases.
+/// [`BatchKernel`]: crate::design::BatchKernel
 fn execute_batch(
     bank: &mut MemoryBank,
     config: &Configuration,
@@ -430,168 +445,117 @@ fn execute_batch(
     profile: &mut PhaseProfile,
     drain_selector: Option<&[u32]>,
 ) -> Result<(), BoardError> {
-    let in_w = config.input_words();
-    let (iw, ow) = (in_w as usize, config.output_words as usize); // cast-ok: word counts are bounded by board memory, far below usize::MAX
+    let (iw, ow) = (config.input_selector.len(), config.output_words as usize); // cast-ok: word counts are bounded by board memory, far below usize::MAX
+    let bw = config.block_words as usize; // cast-ok: block_words is bounded by board memory, far below usize::MAX
     let (stride, filled) = (bufs.stride, bufs.filled);
-    let k = bufs.histories.len() / stride;
+    let BatchBuffers {
+        input,
+        histories,
+        gathered,
+        soa_in,
+        soa_out,
+        kernel_scratch,
+        output,
+        ..
+    } = bufs;
+    let slots = histories.len() / stride;
     if let Some(osel) = drain_selector {
-        bufs.output.clear();
-        bufs.output.resize(k * osel.len(), 0);
+        output.clear();
+        output.resize(slots * osel.len(), 0);
     }
+    // The primary-input region of every history row is written once by
+    // `stage` and never overwritten, so a configuration whose selector
+    // reads only primary words can gather from the denser staged input
+    // image instead of striding across the full history rows.
+    let p_iw = input.len() / slots;
+    let from_primary = config
+        .input_selector
+        .iter()
+        .all(|&sel| (sel as usize) < p_iw); // cast-ok: u32 selector indices widen losslessly to usize
+    let mut chunk = 0usize;
+    while chunk < slots {
+        let lanes = MAX_BATCH_LANES.min(slots - chunk);
 
-    if let Some(batch_kernel) = &config.batch_kernel {
-        let BatchBuffers {
-            input,
-            histories,
-            gathered,
-            soa_in,
-            soa_out,
-            kernel_scratch,
-            output,
-            ..
-        } = bufs;
-        // The primary-input region of every history row is written once by
-        // `stage` and never overwritten, so a configuration whose selector
-        // reads only primary words can gather from the denser staged input
-        // image instead of striding across the full history rows.
-        let p_iw = input.len() / k;
-        let from_primary = config
-            .input_selector
-            .iter()
-            .all(|&sel| (sel as usize) < p_iw); // cast-ok: u32 selector indices widen losslessly to usize
-        let mut chunk = 0usize;
-        while chunk < k {
-            let lanes = MAX_BATCH_LANES.min(k - chunk);
-
-            // Load: slot-major gather for the bank blit, then the SoA
-            // transpose the batch kernel consumes.
-            let t0 = Instant::now();
-            gathered.clear();
-            gathered.resize(lanes * iw, 0);
-            let (src, src_stride) = if from_primary {
-                (&input[chunk * p_iw..(chunk + lanes) * p_iw], p_iw)
-            } else {
-                (&histories[chunk * stride..(chunk + lanes) * stride], stride)
-            };
-            let bw = config.block_words as usize; // cast-ok: block_words is bounded by board memory, far below usize::MAX
-            let bank_region =
-                bank.region_mut(chunk as u64 * config.block_words, (lanes * bw) as u64)?; // cast-ok: chunk indexes banked board memory; usize widens losslessly to u64
-            let rows = gathered
-                .chunks_exact_mut(iw)
-                .zip(bank_region.chunks_exact_mut(bw))
-                .zip(src.chunks_exact(src_stride));
-            for ((dst, block), row) in rows {
-                let mirror = &mut block[..iw];
-                let cells = dst.iter_mut().zip(mirror).zip(&config.input_selector);
-                for ((d, m), &sel) in cells {
-                    let v = row[sel as usize]; // cast-ok: u32 selector indices widen losslessly to usize
-                    *d = v;
-                    *m = v;
-                }
-            }
-            soa_in.clear();
-            soa_in.resize(iw * lanes, 0);
-            for (r, row) in soa_in.chunks_exact_mut(lanes).enumerate() {
-                for (dst, ins) in row.iter_mut().zip(gathered.chunks_exact(iw)) {
-                    *dst = ins[r];
-                }
-            }
-            profile.load_ns += ns_since(t0);
-
-            // Compute: one kernel call covers every lane in the chunk.
-            let t1 = Instant::now();
-            soa_out.clear();
-            soa_out.resize(ow * lanes, 0);
-            batch_kernel(lanes, soa_in, soa_out, kernel_scratch);
-            profile.compute_ns += ns_since(t1);
-
-            // Store: scatter the SoA outputs to the history rows and
-            // mirror them into the bank while still cache-hot.
-            let t2 = Instant::now();
-            let window = &mut histories[chunk * stride..(chunk + lanes) * stride];
-            let bank_region =
-                bank.region_mut(chunk as u64 * config.block_words, (lanes * bw) as u64)?; // cast-ok: chunk indexes banked board memory; usize widens losslessly to u64
-            for ((l, hist), block) in window
-                .chunks_exact_mut(stride)
-                .enumerate()
-                .zip(bank_region.chunks_exact_mut(bw))
-            {
-                let dst = &mut hist[filled..filled + ow];
-                let mirror = &mut block[iw..iw + ow];
-                let cells = dst.iter_mut().zip(mirror).zip(soa_out.chunks_exact(lanes));
-                for ((d, m), src_row) in cells {
-                    let v = src_row[l];
-                    *d = v;
-                    *m = v;
-                }
-            }
-            // This is the last configuration: gather the design's output
-            // words for the whole chunk while its rows are still hot,
-            // instead of re-streaming the histories in a separate pass.
-            if let Some(osel) = drain_selector {
-                let rows = output[chunk * osel.len()..(chunk + lanes) * osel.len()]
-                    .chunks_exact_mut(osel.len())
-                    .zip(window.chunks_exact(stride));
-                for (dst, hist) in rows {
-                    for (d, &sel) in dst.iter_mut().zip(osel) {
-                        *d = hist[sel as usize]; // cast-ok: u32 selector indices widen losslessly to usize
-                    }
-                }
-            }
-            profile.store_ns += ns_since(t2);
-            chunk += lanes;
-        }
-        bufs.filled += ow;
-        return Ok(());
-    }
-
-    let t0 = Instant::now();
-    bufs.gathered.clear();
-    bufs.gathered.resize(k * iw, 0);
-    let (gathered, histories) = (&mut bufs.gathered, &bufs.histories);
-    let rows = gathered
-        .chunks_exact_mut(iw)
-        .zip(histories.chunks_exact(stride));
-    for (dst, hist) in rows {
-        for (d, &sel) in dst.iter_mut().zip(&config.input_selector) {
-            *d = hist[sel as usize]; // cast-ok: u32 selector indices widen losslessly to usize
-        }
-    }
-    bank.write_strided(0, config.block_words, iw, &bufs.gathered)?;
-    profile.load_ns += ns_since(t0);
-
-    let t1 = Instant::now();
-    let (gathered, histories) = (&bufs.gathered, &mut bufs.histories);
-    for (slot, hist) in histories.chunks_exact_mut(stride).enumerate() {
-        let ins = &gathered[slot * iw..(slot + 1) * iw];
-        (config.kernel)(ins, &mut hist[filled..filled + ow]);
-    }
-    profile.compute_ns += ns_since(t1);
-
-    // Store-all: mirror every slot's fresh outputs into its block's output
-    // region so the bank holds exactly what the board would.
-    let t2 = Instant::now();
-    bank.write_strided_from(
-        in_w,
-        config.block_words,
-        ow,
-        &bufs.histories,
-        stride,
-        filled,
-    )?;
-    if let Some(osel) = drain_selector {
-        let rows = bufs
-            .output
-            .chunks_exact_mut(osel.len())
-            .zip(bufs.histories.chunks_exact(stride));
-        for (dst, hist) in rows {
-            for (d, &sel) in dst.iter_mut().zip(osel) {
-                *d = hist[sel as usize]; // cast-ok: u32 selector indices widen losslessly to usize
+        // Load: slot-major gather for the bank blit, then the SoA
+        // transpose the batch kernel consumes.
+        let t0 = Instant::now();
+        gathered.clear();
+        gathered.resize(lanes * iw, 0);
+        let (src, src_stride) = if from_primary {
+            (&input[chunk * p_iw..(chunk + lanes) * p_iw], p_iw)
+        } else {
+            (&histories[chunk * stride..(chunk + lanes) * stride], stride)
+        };
+        let bank_region =
+            bank.region_mut(chunk as u64 * config.block_words, (lanes * bw) as u64)?; // cast-ok: chunk indexes banked board memory; usize widens losslessly to u64
+        let rows = gathered
+            // A configuration of source tasks reads no words: its gather
+            // is empty, but a chunk size must not be.
+            .chunks_exact_mut(iw.max(1))
+            .zip(bank_region.chunks_exact_mut(bw))
+            .zip(src.chunks_exact(src_stride));
+        for ((dst, block), row) in rows {
+            let mirror = &mut block[..iw];
+            let cells = dst.iter_mut().zip(mirror).zip(&config.input_selector);
+            for ((d, m), &sel) in cells {
+                let v = row[sel as usize]; // cast-ok: u32 selector indices widen losslessly to usize
+                *d = v;
+                *m = v;
             }
         }
+        soa_in.clear();
+        soa_in.resize(iw * lanes, 0);
+        for (r, row) in soa_in.chunks_exact_mut(lanes).enumerate() {
+            for (dst, ins) in row.iter_mut().zip(gathered.chunks_exact(iw)) {
+                *dst = ins[r];
+            }
+        }
+        profile.load_ns += ns_since(t0);
+
+        // Compute: one kernel call covers every lane in the chunk.
+        let t1 = Instant::now();
+        soa_out.clear();
+        soa_out.resize(ow * lanes, 0);
+        (config.batch_kernel)(lanes, soa_in, soa_out, kernel_scratch);
+        profile.compute_ns += ns_since(t1);
+
+        // Store: scatter the SoA outputs to the history rows and
+        // mirror them into the bank while still cache-hot.
+        let t2 = Instant::now();
+        let window = &mut histories[chunk * stride..(chunk + lanes) * stride];
+        let bank_region =
+            bank.region_mut(chunk as u64 * config.block_words, (lanes * bw) as u64)?; // cast-ok: chunk indexes banked board memory; usize widens losslessly to u64
+        for ((l, hist), block) in window
+            .chunks_exact_mut(stride)
+            .enumerate()
+            .zip(bank_region.chunks_exact_mut(bw))
+        {
+            let dst = &mut hist[filled..filled + ow];
+            let mirror = &mut block[iw..iw + ow];
+            let cells = dst.iter_mut().zip(mirror).zip(soa_out.chunks_exact(lanes));
+            for ((d, m), src_row) in cells {
+                let v = src_row[l];
+                *d = v;
+                *m = v;
+            }
+        }
+        // This is the last configuration: gather the design's output
+        // words for the whole chunk while its rows are still hot,
+        // instead of re-streaming the histories in a separate pass.
+        if let Some(osel) = drain_selector {
+            let rows = output[chunk * osel.len()..(chunk + lanes) * osel.len()]
+                .chunks_exact_mut(osel.len())
+                .zip(window.chunks_exact(stride));
+            for (dst, hist) in rows {
+                for (d, &sel) in dst.iter_mut().zip(osel) {
+                    *d = hist[sel as usize]; // cast-ok: u32 selector indices widen losslessly to usize
+                }
+            }
+        }
+        profile.store_ns += ns_since(t2);
+        chunk += lanes;
     }
     bufs.filled += ow;
-    profile.store_ns += ns_since(t2);
     Ok(())
 }
 
@@ -634,8 +598,7 @@ impl Sequencer for FdhSequencer<'_> {
         let (computations, batches) = rtr_shape(arch, design, source)?;
         let k = design.k;
         let dm = u128::from(arch.transfer_ns_per_word);
-        let mut bank = MemoryBank::new(k * design.max_block_words());
-        let mut buffers = BatchBuffers::new(design);
+        let (mut bank, mut buffers) = rtr_staging(design, computations);
         let mut profile = PhaseProfile::default();
         let mut report = TimeReport {
             computations,
@@ -720,8 +683,7 @@ impl Sequencer for IdhSequencer<'_> {
         let (computations, batches) = rtr_shape(arch, design, source)?;
         let k = design.k;
         let dm = u128::from(arch.transfer_ns_per_word);
-        let mut bank = MemoryBank::new(k * design.max_block_words());
-        let mut buffers = BatchBuffers::new(design);
+        let (mut bank, mut buffers) = rtr_staging(design, computations);
         let mut profile = PhaseProfile::default();
         let mut report = TimeReport {
             computations,
@@ -920,6 +882,22 @@ mod tests {
         let (o_idh, _) = IdhSequencer::new(&arch(), &d).run_slice(&xs).unwrap();
         assert_eq!(o_fdh, vec![20, 11, 40, 21, 60, 31, 80, 41]);
         assert_eq!(o_fdh, o_idh);
+    }
+
+    /// A partition of source tasks reads no words: its empty gather must
+    /// still stream, under both RTR sequencers.
+    #[test]
+    fn configurations_reading_no_words_stream() {
+        let c1 = Configuration::new("const", 100, vec![], 1, |_, o| o[0] = 7);
+        let c2 = Configuration::new("add", 100, vec![0, 1], 1, |x, o| o[0] = x[0] + x[1]);
+        let d = RtrDesign::new(vec![c1, c2], 1, vec![2], 2);
+        for seq in [
+            &FdhSequencer::new(&arch(), &d) as &dyn Sequencer,
+            &IdhSequencer::new(&arch(), &d),
+        ] {
+            let (out, _) = seq.run_slice(&[1, 2, 3]).unwrap();
+            assert_eq!(out, vec![8, 9, 10], "{}", seq.name());
+        }
     }
 
     #[test]

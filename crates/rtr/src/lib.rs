@@ -23,7 +23,7 @@
 //! Host execution is *streaming*: the [`host::Sequencer`] drivers pull one
 //! batch of `k` computations at a time from an [`stream::InputSource`] and
 //! push results into an [`stream::OutputSink`], so host memory is bounded
-//! by the batch geometry instead of the workload size;
+//! by `min(k, I)` slots of the batch geometry instead of the workload size;
 //! [`host::Sequencer::run_slice`] runs a materialized slice through them.
 
 #![forbid(unsafe_code)]

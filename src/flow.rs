@@ -69,7 +69,7 @@ use sparcs_ilp::SolveError;
 use sparcs_rtr::stream::splitmix64;
 use sparcs_rtr::{
     Configuration, FdhSequencer, HostError, IdhSequencer, InputSource, OutputSink, RtrDesign,
-    Sequencer, StaticDesign, StaticSequencer, TimeReport,
+    Sequencer, StaticDesign, StaticSequencer, TimeReport, MAX_BATCH_LANES,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -1134,6 +1134,8 @@ impl AnalyzedFlow<'_> {
     /// partition gets a deterministic *mixing* kernel — a pure function of
     /// its input words — which keeps streamed and materialized executions
     /// bit-comparable without pretending to know the application's math.
+    /// Each configuration carries the kernel twice: the scalar reference
+    /// and a lane-parallel batch form doing the same arithmetic per lane.
     ///
     /// # Errors
     ///
@@ -1153,6 +1155,7 @@ impl AnalyzedFlow<'_> {
                 "graph has no environment outputs to stream".into(),
             ));
         }
+        const MIX_SEED: u64 = 0xD6E8_FEB8_6659_FD93;
         let mut configurations = Vec::with_capacity(io.len());
         let mut history_len = primary;
         for (i, pio) in io.iter().enumerate() {
@@ -1178,7 +1181,7 @@ impl AnalyzedFlow<'_> {
                 }
             }));
             let kernel = move |ins: &[i32], out: &mut [i32]| {
-                let mut acc = 0xD6E8_FEB8_6659_FD93u64 ^ ins.len() as u64;
+                let mut acc = MIX_SEED ^ ins.len() as u64;
                 for &v in ins {
                     acc = splitmix64(acc ^ u64::from(v as u32));
                 }
@@ -1186,6 +1189,23 @@ impl AnalyzedFlow<'_> {
                     *o = splitmix64(acc ^ j as u64) as i32;
                 }
             };
+            // The same mix with lanes innermost: one accumulator per lane,
+            // so the serial chain of one computation runs across lanes.
+            let batch_kernel =
+                move |lanes: usize, ins: &[i32], outs: &mut [i32], _: &mut Vec<i32>| {
+                    let mut acc = [MIX_SEED ^ in_w; MAX_BATCH_LANES];
+                    let acc = &mut acc[..lanes];
+                    for row in ins.chunks_exact(lanes) {
+                        for (a, &v) in acc.iter_mut().zip(row) {
+                            *a = splitmix64(*a ^ u64::from(v as u32));
+                        }
+                    }
+                    for (j, row) in outs.chunks_exact_mut(lanes).enumerate() {
+                        for (o, &a) in row.iter_mut().zip(&*acc) {
+                            *o = splitmix64(a ^ j as u64) as i32;
+                        }
+                    }
+                };
             configurations.push(
                 Configuration::new(
                     format!("P{}", i + 1),
@@ -1194,6 +1214,7 @@ impl AnalyzedFlow<'_> {
                     out_w,
                     kernel,
                 )
+                .with_batch_kernel(batch_kernel)
                 .with_block_words(self.fission.block_words[i]),
             );
             history_len += out_w;
@@ -1228,7 +1249,8 @@ impl AnalyzedFlow<'_> {
     /// Streams a workload through the executable design on the simulated
     /// board under `sequencing`, pulling whole `k`-computation batches from
     /// `source` and pushing results into `sink` — host memory stays bounded
-    /// by `k · block_words` per partition, never by the workload size.
+    /// by `min(k, I)` slots of the design's blocks, never by the workload
+    /// size.
     /// Returns the incrementally accumulated [`TimeReport`], identical to
     /// what the materializing `sparcs_rtr::run_*` wrappers report for the
     /// same workload.

@@ -257,6 +257,46 @@ fn run_reads_stdin_and_streams_stdout() {
     assert!(err.contains("2 computations"), "report on stderr: {err}");
 }
 
+/// Host buffers hold the slots a stream fills, not `k` of them: under a
+/// 1 GiB address-space cap, a 10-computation stream runs on a board whose
+/// `k` is 500 million (a `k`-sized simulated bank alone would be 8 GB).
+/// The report is still charged per `k`-slot batch.
+#[test]
+fn run_sizes_host_buffers_by_the_stream_not_the_board() {
+    let capped_run = |extra: &[&str]| {
+        Command::new("sh")
+            .args(["-c", r#"ulimit -v 1048576; exec "$0" "$@""#])
+            .arg(env!("CARGO_BIN_EXE_sparcs"))
+            .args([
+                "run",
+                concat!(env!("CARGO_MANIFEST_DIR"), "/examples/graphs/fig4.tg"),
+            ])
+            .args(["--synthetic", "--workload", "10"])
+            .args(extra)
+            .output()
+            .expect("sh runs")
+    };
+    let huge = capped_run(&["--memory", "2000000000"]);
+    assert!(huge.status.success(), "{}", stderr(&huge));
+    assert!(
+        stdout(&huge).contains("digest: 02905229be8e235b"),
+        "{}",
+        stdout(&huge)
+    );
+
+    let fdh = capped_run(&["--memory", "20000000", "--seq", "fdh"]);
+    assert!(fdh.status.success(), "{}", stderr(&fdh));
+    let out = stdout(&fdh);
+    assert!(
+        out.contains(
+            "report: 4.3250 s total (0.2000 s reconfig x2, 3.5000 s compute, \
+             0.6250 s exposed transfer, 25000000 words, 10 computations)"
+        ),
+        "{out}"
+    );
+    assert!(out.contains("digest: 02905229be8e235b"), "{out}");
+}
+
 #[test]
 fn explore_ranks_a_workload_grid_in_one_call() {
     let text = stdout(&sparcs(&["example"]));

@@ -97,10 +97,11 @@ proptest! {
         assert_streamed_equals_materialized(&StaticSequencer::new(&dev, &monolith), comps)?;
     }
 
-    /// A design whose configurations carry lane-parallel batch kernels is
-    /// output- and digest-identical to the same design running its scalar
-    /// kernels slot-at-a-time — the fissioned compute-all phase must be
-    /// invisible to the sink on random pipelines and random batch shapes.
+    /// The one execute path runs a configuration's batch kernel, native or
+    /// adapted: a design whose configurations carry native lane-parallel
+    /// kernels is output- and digest-identical to the same design running
+    /// its scalar kernels through the per-lane adapter — on random
+    /// pipelines and random batch shapes.
     #[test]
     fn batch_kernels_are_digest_identical_to_scalar(
         seed in 0u64..500,
@@ -178,6 +179,46 @@ proptest! {
                 .run(&mut SyntheticSource::new(comps, words), &mut counted)
                 .expect("batch counted run succeeds");
             prop_assert_eq!(counted.digest(), CountingSink::digest_of(scalar_sink.data()));
+        }
+    }
+
+    /// Designs lifted from generated graphs stream bit for bit what their
+    /// scalar reference computes: the lane-parallel mixing kernels of
+    /// `executable_design` must not drift from `RtrDesign::compute_one`,
+    /// under FDH and IDH, across several lane chunks and a ragged tail.
+    #[test]
+    fn generated_designs_stream_their_scalar_reference(
+        seed in 0u64..1_000,
+        layers in 2u32..6,
+        whole in 0u64..2,
+        tail in 65u64..200, // past MAX_BATCH_LANES, rarely a multiple of it
+    ) {
+        use sparcs::dfg::gen::{layered, LayeredConfig};
+        use sparcs::strategy::parse_spec;
+        let graph = layered(&LayeredConfig { layers, ..LayeredConfig::default() }, seed);
+        let session = FlowSession::new(graph, Architecture::xc4044_wildforce());
+        let list = parse_spec("list", &Default::default()).expect("list spec parses");
+        let analyzed = session
+            .partition_with(list.as_ref())
+            .and_then(|p| p.analyze())
+            .expect("list partitions a layered graph");
+        let design = analyzed.executable_design().expect("layered graphs have I/O");
+        let comps = whole * design.k + tail;
+        let in_w = design.primary_input_words;
+        let inputs = materialize(comps, in_w);
+        let expect: Vec<i32> = inputs
+            .chunks_exact(in_w as usize)
+            .flat_map(|x| design.compute_one(x))
+            .collect();
+        let arch = &analyzed.context().arch;
+        for seq in [
+            &FdhSequencer::new(arch, &design) as &dyn Sequencer,
+            &IdhSequencer::new(arch, &design),
+        ] {
+            let mut sink = VecSink::new();
+            seq.run(&mut SyntheticSource::new(comps, in_w), &mut sink)
+                .expect("generated design streams");
+            prop_assert_eq!(sink.data(), expect.as_slice(), "{}", seq.name());
         }
     }
 }
@@ -331,4 +372,42 @@ fn large_stream_smoke_at_constant_memory() {
         )
         .unwrap();
     assert_eq!(again.digest(), sink.digest());
+}
+
+/// Release-mode pin on the stream e2ebench's `scaled-10k` workload runs:
+/// the seed-10 10k-node `gen::scaled` graph partitioned by `list` on the
+/// 50k-CLB / 4M-word board (k = 1,201, 23 partitions), streaming four
+/// batches of seed-3 synthetic input. The pinned digest is the one the
+/// scalar mixing kernels give, so a lane kernel that drifts from them
+/// changes it under either RTR sequencer. (Compiled out under debug
+/// assertions; the CI workflow runs it in release.)
+#[test]
+#[cfg(not(debug_assertions))]
+fn scaled_10k_stream_digest_is_pinned() {
+    use sparcs::dfg::gen::{scaled, ScaledConfig};
+    use sparcs::dfg::Resources;
+    use sparcs::strategy::parse_spec;
+    let mut board = Architecture::xc4044_wildforce();
+    board.resources = Resources::clbs(50_000);
+    board.memory_words = 4_000_000;
+    let session = FlowSession::new(scaled(&ScaledConfig::preset(10_000), 10), board);
+    let list = parse_spec("list", &Default::default()).expect("list spec parses");
+    let analyzed = session
+        .partition_with(list.as_ref())
+        .and_then(|p| p.analyze())
+        .expect("list partitions the 10k-node graph");
+    let design = analyzed
+        .executable_design()
+        .expect("scaled graphs have I/O");
+    assert_eq!((design.k, design.partition_count()), (1_201, 23));
+    let arch = &analyzed.context().arch;
+    for seq in [
+        &FdhSequencer::new(arch, &design) as &dyn Sequencer,
+        &IdhSequencer::new(arch, &design),
+    ] {
+        let mut source = SyntheticSource::with_seed(4 * design.k, design.primary_input_words, 3);
+        let mut sink = CountingSink::new();
+        seq.run(&mut source, &mut sink).expect("the design streams");
+        assert_eq!(sink.digest(), 0x74ef_87ae_73f2_d46b, "{}", seq.name());
+    }
 }
