@@ -47,7 +47,8 @@
 #![warn(missing_docs)]
 
 use sparcs_core::partitioning::MemoryMode;
-use sparcs_dfg::{algo, GraphError, TaskGraph, TaskId};
+use sparcs_dfg::graph::EnvDirection;
+use sparcs_dfg::{algo, GraphError, Resources, TaskGraph, TaskId};
 use sparcs_estimate::Architecture;
 use std::fmt;
 
@@ -368,23 +369,252 @@ fn own_critical_path_ns(g: &TaskGraph, order: &[usize]) -> u64 {
 ///
 /// [`GraphError::Cycle`] (and friends) when the graph does not validate.
 pub fn critical_path_lb_ns(g: &TaskGraph) -> Result<u64, GraphError> {
-    let (own, reference, _) = critical_paths(g)?;
-    Ok(own.min(reference))
+    let cp = critical_paths(g)?;
+    Ok(cp.own_ns.min(cp.reference_ns))
+}
+
+/// Both critical paths of [`critical_paths`], the reference path's tasks,
+/// and the own topological order they were computed over.
+struct CriticalPaths {
+    own_ns: u64,
+    reference_ns: u64,
+    reference_tasks: Vec<TaskId>,
+    order: Vec<usize>,
 }
 
 /// Both critical-path computations plus the reference path's task list.
-fn critical_paths(g: &TaskGraph) -> Result<(u64, u64, Vec<TaskId>), GraphError> {
+fn critical_paths(g: &TaskGraph) -> Result<CriticalPaths, GraphError> {
     g.validate()?;
     let order = own_topo_order(g).ok_or(
         // Unreachable after validate(); name task 0 if it somehow fires.
         GraphError::Cycle(TaskId(0)),
     )?;
-    let own = own_critical_path_ns(g, &order);
-    let (reference, tasks) = match algo::critical_path(g)? {
+    let own_ns = own_critical_path_ns(g, &order);
+    let (reference_ns, reference_tasks) = match algo::critical_path(g)? {
         Some(cp) => (cp.delay_ns, cp.tasks),
         None => (0, Vec::new()),
     };
-    Ok((own, reference, tasks))
+    Ok(CriticalPaths {
+        own_ns,
+        reference_ns,
+        reference_tasks,
+        order,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Precedence-closure sums, one column block at a time.
+// ---------------------------------------------------------------------------
+
+/// Tasks per column block of [`closure_sums`]. A block holds one bit row of
+/// `CLOSURE_BLOCK / 64` words per task, so the pass needs `V · 512` bytes
+/// (5 MB at 10k tasks, 51 MB at 100k) however much of the graph each task
+/// reaches.
+const CLOSURE_BLOCK: usize = 4096;
+
+/// Adjacency over topological positions in compressed rows: the
+/// neighbours of position `p` are `adj[start[p]..start[p + 1]]`.
+struct Adjacency {
+    start: Vec<usize>,
+    adj: Vec<u32>,
+}
+
+impl Adjacency {
+    /// Groups the `(from, to)` pairs by `from`, keeping their order.
+    fn new(n: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> Self {
+        let mut start = vec![0usize; n + 1];
+        for (from, _) in pairs.clone() {
+            start[from as usize + 1] += 1;
+        }
+        for p in 0..n {
+            start[p + 1] += start[p];
+        }
+        let mut fill = start.clone();
+        let mut adj = vec![0u32; start[n]];
+        for (from, to) in pairs {
+            adj[fill[from as usize]] = to;
+            fill[from as usize] += 1;
+        }
+        Adjacency { start, adj }
+    }
+
+    fn of(&self, p: usize) -> &[u32] {
+        &self.adj[self.start[p]..self.start[p + 1]]
+    }
+}
+
+/// The components of a resource vector, in a fixed kind order.
+fn kinds(r: &Resources) -> [u64; 4] {
+    [r.clbs, r.flip_flops, r.mult_blocks, r.bram_words]
+}
+
+/// The bit-sliced weights of one column block. Plane `i` masks the block
+/// tasks whose demand of kind `planes[i].0` has bit `planes[i].1` set, so
+/// a row's demand of kind `k` is `Σ popcount(row & plane) << bit` over the
+/// planes of `k`: exact, and no pair is visited alone.
+struct BitPlanes {
+    /// `(kind, bit)` of each plane; only bits some block task sets.
+    planes: Vec<(usize, u32)>,
+    /// Word `w` of plane `i` is `masks[w * planes.len() + i]`.
+    masks: Vec<u64>,
+}
+
+impl BitPlanes {
+    fn new(block: &[Resources]) -> Self {
+        let mut used = [0u64; 4];
+        for r in block {
+            for (u, v) in used.iter_mut().zip(kinds(r)) {
+                *u |= v;
+            }
+        }
+        let planes: Vec<(usize, u32)> = (0..4)
+            .flat_map(|k| {
+                (0..64)
+                    .filter(move |b| used[k] >> b & 1 == 1)
+                    .map(move |b| (k, b))
+            })
+            .collect();
+        let mut masks = vec![0u64; block.len().div_ceil(64) * planes.len()];
+        for (j, r) in block.iter().enumerate() {
+            let demand = kinds(r);
+            for (i, &(k, b)) in planes.iter().enumerate() {
+                masks[j / 64 * planes.len() + i] |= (demand[k] >> b & 1) << (j % 64);
+            }
+        }
+        BitPlanes { planes, masks }
+    }
+
+    /// The summed demand of the block tasks set in `row`; `counts` is
+    /// scratch of one slot per plane.
+    fn weigh(&self, row: &[u64], counts: &mut [u64]) -> Resources {
+        counts.fill(0);
+        let per_word = self.planes.len();
+        for (w, &bits) in row.iter().enumerate() {
+            if bits == 0 {
+                continue;
+            }
+            let masks = &self.masks[w * per_word..][..per_word];
+            for (c, &m) in counts.iter_mut().zip(masks) {
+                *c += u64::from((bits & m).count_ones());
+            }
+        }
+        let mut sum = [0u64; 4];
+        for (&(k, b), &c) in self.planes.iter().zip(counts.iter()) {
+            sum[k] += c << b;
+        }
+        Resources::new(sum[0], sum[1], sum[2], sum[3])
+    }
+}
+
+/// Every task's ancestor and descendant resource sums (itself excluded),
+/// indexed by task id, exactly.
+///
+/// Tasks are numbered by their position in `order` (a topological order),
+/// and the positions are cut into column blocks of `block`. For each block,
+/// a bit row per task marks the block tasks it reaches: descendant rows
+/// fill in reverse topological order from successors, ancestor rows in
+/// topological order from predecessors. Only positions before the block's
+/// end can reach into it, and only positions from its start can be reached
+/// from it, so each direction touches the rows it can fill. Each row is
+/// weighed by [`BitPlanes`], so the cost is `O((E + V·planes) · V / 64)`
+/// word operations in `V · block / 8` bytes.
+fn closure_sums(g: &TaskGraph, order: &[usize], block: usize) -> (Vec<Resources>, Vec<Resources>) {
+    let n = order.len();
+    let mut pos = vec![0u32; n];
+    for (p, &t) in order.iter().enumerate() {
+        pos[t] = p as u32;
+    }
+    let arcs = g
+        .edges()
+        .iter()
+        .map(|e| (pos[e.src.index()], pos[e.dst.index()]));
+    let succ = Adjacency::new(n, arcs.clone());
+    let pred = Adjacency::new(n, arcs.map(|(u, v)| (v, u)));
+    let res: Vec<Resources> = order
+        .iter()
+        .map(|&t| g.task(TaskId(t as u32)).resources)
+        .collect();
+    let mut anc = vec![Resources::ZERO; n];
+    let mut desc = vec![Resources::ZERO; n];
+    let mut rows: Vec<u64> = Vec::new();
+    for lo in (0..n).step_by(block) {
+        let hi = (lo + block).min(n);
+        let words = (hi - lo).div_ceil(64);
+        let planes = BitPlanes::new(&res[lo..hi]);
+        let mut counts = vec![0u64; planes.planes.len()];
+        let word = |j: usize| (j - lo) / 64;
+        let mask = |j: usize| 1u64 << ((j - lo) % 64);
+
+        // Descendants: row p (p < hi) at rows[p * words..].
+        rows.clear();
+        rows.resize(hi * words, 0);
+        for p in (0..hi).rev() {
+            let (head, tail) = rows.split_at_mut((p + 1) * words);
+            let row = &mut head[p * words..];
+            for &s in succ.of(p) {
+                let s = s as usize;
+                if s >= hi {
+                    continue;
+                }
+                // Row s only marks positions after s.
+                let first = (s + 1).saturating_sub(lo) / 64;
+                let from = &tail[(s - p - 1) * words..][..words];
+                for (r, &w) in row[first..].iter_mut().zip(&from[first..]) {
+                    *r |= w;
+                }
+                if s >= lo {
+                    row[word(s)] |= mask(s);
+                }
+            }
+            desc[order[p]] += planes.weigh(row, &mut counts);
+        }
+
+        // Ancestors: row p (p >= lo) at rows[(p - lo) * words..].
+        rows.clear();
+        rows.resize((n - lo) * words, 0);
+        for p in lo..n {
+            let (head, tail) = rows.split_at_mut((p - lo) * words);
+            let row = &mut tail[..words];
+            for &q in pred.of(p) {
+                let q = q as usize;
+                if q < lo {
+                    continue;
+                }
+                // Row q only marks positions before q.
+                let end = (q.min(hi) - lo).div_ceil(64);
+                let from = &head[(q - lo) * words..][..words];
+                for (r, &w) in row[..end].iter_mut().zip(&from[..end]) {
+                    *r |= w;
+                }
+                if q < hi {
+                    row[word(q)] |= mask(q);
+                }
+            }
+            anc[order[p]] += planes.weigh(row, &mut counts);
+        }
+    }
+    (anc, desc)
+}
+
+/// Every task reachable from `starts` by steps to `next` (the starts
+/// included): one search in `O(V + E)`.
+fn reached_from<I: Iterator<Item = TaskId>>(
+    g: &TaskGraph,
+    starts: impl Iterator<Item = TaskId>,
+    next: impl Fn(TaskId) -> I,
+) -> Vec<bool> {
+    let mut seen = vec![false; g.task_count()];
+    let mut stack: Vec<TaskId> = starts
+        .filter(|t| !std::mem::replace(&mut seen[t.index()], true))
+        .collect();
+    while let Some(t) = stack.pop() {
+        for u in next(t) {
+            if !std::mem::replace(&mut seen[u.index()], true) {
+                stack.push(u);
+            }
+        }
+    }
+    seen
 }
 
 // ---------------------------------------------------------------------------
@@ -393,10 +623,11 @@ fn critical_paths(g: &TaskGraph) -> Result<(u64, u64, Vec<TaskId>), GraphError> 
 
 /// Abstract-interprets `g` against `arch` under `mode`, producing every
 /// certified bound and lint. Pure and solver-free: nothing here launches
-/// the simplex. The cost is dominated by the reachability closure, a
-/// `V²/8`-byte bit matrix built in `O(E·V/64)` word operations, and the
-/// one pass over its set bits that sums every task's ancestors and
-/// descendants.
+/// the simplex. The cost is dominated by the precedence-closure sums of
+/// the partition-count bound: `O((E + V·planes)·V/64)` word operations
+/// over one 4,096-task column block of bit rows at a time (`V·512` bytes),
+/// with no reachable pair visited alone. The `dead-node` and
+/// `unreachable-output` lints take one graph search each.
 ///
 /// # Errors
 ///
@@ -411,7 +642,12 @@ pub fn analyze(
     let mut lints = Vec::new();
 
     // --- Critical-path objective bound, computed twice. -------------------
-    let (own_cp, ref_cp, cp_tasks) = critical_paths(g)?;
+    let CriticalPaths {
+        own_ns: own_cp,
+        reference_ns: ref_cp,
+        reference_tasks: cp_tasks,
+        order,
+    } = critical_paths(g)?;
     if let Some(lint) = crosscheck_critical_path(own_cp, ref_cp) {
         lints.push(lint);
     }
@@ -461,7 +697,7 @@ pub fn analyze(
             });
         }
     }
-    let total: sparcs_dfg::Resources = g.tasks().map(|(_, t)| t.resources).sum();
+    let total: Resources = g.tasks().map(|(_, t)| t.resources).sum();
     let n0 = total.min_bins(&arch.resources);
     if n0.is_none() && g.task_count() > 0 && schedulable {
         // Demand on a zero-capacity component that no single task trips
@@ -483,24 +719,10 @@ pub fn analyze(
         n0.unwrap_or(0)
     };
     let mut refinement_witness = String::new();
-    let reach = algo::reachability(g)?;
     if schedulable && g.task_count() > 0 {
-        // Both closure sums from one pass over the descendant rows: each
-        // pair `t ⇒ j` adds R(j) below t and R(t) above j.
-        let res: Vec<sparcs_dfg::Resources> = g.tasks().map(|(_, t)| t.resources).collect();
-        let mut anc = vec![sparcs_dfg::Resources::ZERO; g.task_count()];
-        let mut desc = vec![sparcs_dfg::Resources::ZERO; g.task_count()];
+        let (anc, desc) = closure_sums(g, &order, CLOSURE_BLOCK);
         for t in g.task_ids() {
-            let me = res[t.index()];
-            let mut below = sparcs_dfg::Resources::ZERO;
-            for j in reach.descendants(t) {
-                below += res[j.index()];
-                anc[j.index()] += me;
-            }
-            desc[t.index()] = below;
-        }
-        for t in g.task_ids() {
-            let me = res[t.index()];
+            let me = g.task(t).resources;
             let (Some(up), Some(down)) = (
                 (anc[t.index()] + me).min_bins(&arch.resources),
                 (desc[t.index()] + me).min_bins(&arch.resources),
@@ -603,19 +825,21 @@ pub fn analyze(
     });
 
     // --- m_i_temp bound (§2.2). --------------------------------------------
+    // Each task's env-input and env-output words, from one pass over the
+    // ports.
+    let mut env_words = vec![(0u64, 0u64); g.task_count()];
+    for port in g.env_ports() {
+        for t in &port.tasks {
+            let (ins, outs) = &mut env_words[t.index()];
+            match port.direction {
+                EnvDirection::Input => *ins += port.words,
+                EnvDirection::Output => *outs += port.words,
+            }
+        }
+    }
     let mut temp_memory_lb_words = 0u64;
     let mut temp_witness = String::from("no task touches an environment port");
-    for t in g.task_ids() {
-        let ins: u64 = g
-            .env_inputs()
-            .filter(|(_, p)| p.tasks.contains(&t))
-            .map(|(_, p)| p.words)
-            .sum();
-        let outs: u64 = g
-            .env_outputs()
-            .filter(|(_, p)| p.tasks.contains(&t))
-            .map(|(_, p)| p.words)
-            .sum();
+    for (t, &(ins, outs)) in g.task_ids().zip(&env_words) {
         if ins + outs > temp_memory_lb_words {
             temp_memory_lb_words = ins + outs;
             temp_witness = format!(
@@ -663,14 +887,15 @@ pub fn analyze(
             });
         }
     }
-    let writers: Vec<TaskId> = g
+    // One backward search from the writers finds every observed task.
+    let mut writers = g
         .env_outputs()
         .flat_map(|(_, p)| p.tasks.iter().copied())
-        .collect();
-    if !writers.is_empty() {
+        .peekable();
+    if writers.peek().is_some() {
+        let observed = reached_from(g, writers, |t| g.predecessors(t));
         for t in g.task_ids() {
-            let observed = writers.iter().any(|&w| w == t || reach.reaches(t, w));
-            if !observed {
+            if !observed[t.index()] {
                 lints.push(Lint {
                     rule: rules::DEAD_NODE,
                     severity: Severity::Warning,
@@ -684,17 +909,15 @@ pub fn analyze(
             }
         }
     }
-    let fed: Vec<TaskId> = g
+    // One forward search from the fed tasks finds every fed writer.
+    let mut fed = g
         .env_inputs()
         .flat_map(|(_, p)| p.tasks.iter().copied())
-        .collect();
-    if !fed.is_empty() {
+        .peekable();
+    if fed.peek().is_some() {
+        let fed_or_downstream = reached_from(g, fed, |t| g.successors(t));
         for (id, port) in g.env_outputs() {
-            let reachable = port
-                .tasks
-                .iter()
-                .any(|&w| fed.iter().any(|&i| i == w || reach.reaches(i, w)));
-            if !reachable {
+            if !port.tasks.iter().any(|w| fed_or_downstream[w.index()]) {
                 lints.push(Lint {
                     rule: rules::UNREACHABLE_OUTPUT,
                     severity: Severity::Warning,
@@ -1051,6 +1274,184 @@ mod tests {
         assert!(
             refined > 0,
             "the sweep never exercised the closure refinement"
+        );
+    }
+
+    /// The closure sums taken over the dense reachability matrix (a
+    /// `V²`-bit closure filled in reverse topological order) with a walk
+    /// over every reachable pair: each pair `t ⇒ j` adds R(j) below t and
+    /// R(t) above j. Indexed by task id, like [`closure_sums`].
+    fn pair_walk_sums(g: &sparcs_dfg::TaskGraph) -> (Vec<Resources>, Vec<Resources>) {
+        let n = g.task_count();
+        let words = n.div_ceil(64);
+        let mut reach = vec![0u64; n * words];
+        for &t in g.topological_order().unwrap().iter().rev() {
+            let mut row = vec![0u64; words];
+            for s in g.successors(t) {
+                for (r, &w) in row.iter_mut().zip(&reach[s.index() * words..]) {
+                    *r |= w;
+                }
+                row[s.index() / 64] |= 1 << (s.index() % 64);
+            }
+            reach[t.index() * words..][..words].copy_from_slice(&row);
+        }
+        let mut anc = vec![Resources::ZERO; n];
+        let mut desc = vec![Resources::ZERO; n];
+        for t in 0..n {
+            for j in (0..n).filter(|&j| reach[t * words + j / 64] >> (j % 64) & 1 == 1) {
+                desc[t] += g.task(TaskId(j as u32)).resources;
+                anc[j] += g.task(TaskId(t as u32)).resources;
+            }
+        }
+        (anc, desc)
+    }
+
+    /// [`random_dag`] with all four resource kinds nonzero and about one
+    /// demand in ten drawn up to 2⁴⁰, so high bit planes are weighed too.
+    fn heavy_dag(n: u32, window: u32, seed: u64) -> sparcs_dfg::TaskGraph {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut g = random_dag(n, window, seed);
+        let mut rng = StdRng::seed_from_u64(!seed);
+        let mut demand = || {
+            if rng.gen_bool(0.1) {
+                rng.gen_range(1..=1u64 << 40)
+            } else {
+                rng.gen_range(1..=300u64)
+            }
+        };
+        for t in 0..n {
+            g.task_mut(TaskId(t)).resources =
+                Resources::new(demand(), demand(), demand(), demand());
+        }
+        g
+    }
+
+    #[test]
+    fn blocked_closure_sums_match_the_pair_walk() {
+        for n in [1u32, 63, 64, 65, 127, 128, 129, 300] {
+            for seed in 0..3u64 {
+                let window = [1, 8, n][seed as usize];
+                let g = heavy_dag(n, window, u64::from(n) * 10 + seed);
+                let expected = pair_walk_sums(&g);
+                let kahn: Vec<usize> = g
+                    .topological_order()
+                    .unwrap()
+                    .iter()
+                    .map(|t| t.index())
+                    .collect();
+                for order in [own_topo_order(&g).unwrap(), kahn] {
+                    for block in [64, 65, 128, CLOSURE_BLOCK] {
+                        assert!(
+                            closure_sums(&g, &order, block) == expected,
+                            "n = {n}, window = {window}, block = {block}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reachability_lints_match_a_per_task_dfs() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let (mut dead, mut unreachable, mut clean) = (0, 0, 0);
+        for seed in 0..60u64 {
+            let n = rng.gen_range(1..=90u32);
+            let mut g = random_dag(n, [1, 4, n][seed as usize % 3], seed);
+            // A few ports, each on a random set of tasks: some tasks reach
+            // no writer, and some outputs are fed by no input.
+            let mut ids: Vec<TaskId> = g.task_ids().collect();
+            for port in 0..rng.gen_range(0..=6) {
+                let k = rng.gen_range(1..=3.min(ids.len()));
+                for i in 0..k {
+                    let j = rng.gen_range(i..ids.len());
+                    ids.swap(i, j);
+                }
+                let tasks = ids[..k].to_vec();
+                let words = rng.gen_range(1..=64u64);
+                if rng.gen_bool(0.5) {
+                    g.add_env_input(format!("in{port}"), words, tasks).unwrap();
+                } else {
+                    g.add_env_output(format!("out{port}"), words, tasks)
+                        .unwrap();
+                }
+            }
+            // Per task, a DFS for everything it reaches, itself included.
+            let reaches: Vec<Vec<bool>> = g
+                .task_ids()
+                .map(|t| {
+                    let mut seen = vec![false; g.task_count()];
+                    let mut stack = vec![t];
+                    while let Some(u) = stack.pop() {
+                        if !std::mem::replace(&mut seen[u.index()], true) {
+                            stack.extend(g.successors(u));
+                        }
+                    }
+                    seen
+                })
+                .collect();
+            let writers: Vec<TaskId> = g.env_outputs().flat_map(|(_, p)| p.tasks.clone()).collect();
+            let fed: Vec<TaskId> = g.env_inputs().flat_map(|(_, p)| p.tasks.clone()).collect();
+            let expected_dead: Vec<String> = g
+                .task_ids()
+                .filter(|&t| {
+                    !writers.is_empty() && !writers.iter().any(|w| reaches[t.index()][w.index()])
+                })
+                .map(|t| t.to_string())
+                .collect();
+            let expected_unreachable: Vec<String> = g
+                .env_outputs()
+                .filter(|(_, p)| {
+                    !fed.is_empty()
+                        && !p
+                            .tasks
+                            .iter()
+                            .any(|w| fed.iter().any(|i| reaches[i.index()][w.index()]))
+                })
+                .map(|(id, _)| id.to_string())
+                .collect();
+            let an = analyze(&g, &arch(1_000, 1_000_000), MemoryMode::Net).unwrap();
+            let located = |rule: &str| -> Vec<String> {
+                an.lints
+                    .iter()
+                    .filter(|l| l.rule == rule)
+                    .map(|l| l.location.clone())
+                    .collect()
+            };
+            assert_eq!(located(rules::DEAD_NODE), expected_dead, "seed {seed}");
+            assert_eq!(
+                located(rules::UNREACHABLE_OUTPUT),
+                expected_unreachable,
+                "seed {seed}"
+            );
+            dead += expected_dead.len();
+            unreachable += expected_unreachable.len();
+            clean += usize::from(!writers.is_empty() && expected_dead.is_empty());
+        }
+        assert!(
+            dead > 0 && unreachable > 0 && clean > 0,
+            "the sweep must find dead tasks ({dead}), constant outputs ({unreachable}) and \
+             graphs with every task observed ({clean})"
+        );
+    }
+
+    #[test]
+    fn temp_memory_bound_keeps_the_first_busiest_task() {
+        // `b` and `c` tie at 12 words; the witness names the first of them.
+        let mut g = sparcs_dfg::TaskGraph::new("tie");
+        let a = g.add_task("a", Resources::clbs(10), 10, 1);
+        let b = g.add_task("b", Resources::clbs(10), 10, 1);
+        let c = g.add_task("c", Resources::clbs(10), 10, 1);
+        g.add_env_input("x", 4, [a, b]).unwrap();
+        g.add_env_input("y", 8, [b, c]).unwrap();
+        g.add_env_output("z", 4, [c]).unwrap();
+        let an = analyze(&g, &arch(100, 1000), MemoryMode::Net).unwrap();
+        let fact = an.fact(rules::TEMP_MEMORY_BOUND).unwrap();
+        assert_eq!(fact.bound, 12);
+        assert_eq!(
+            fact.witness,
+            "any partition containing `b` holds its 12 env-input + 0 env-output words"
         );
     }
 

@@ -1,10 +1,11 @@
-//! DAG algorithms over [`TaskGraph`]: levels, reachability, critical paths.
+//! DAG algorithms over [`TaskGraph`]: levels and critical paths.
 //!
 //! These are the analyses the temporal partitioner and the list-based baseline
-//! need: ASAP/ALAP levels drive list ordering, reachability feeds the
-//! temporal-order constraints, and delay-weighted longest paths give both the
-//! critical path (a latency lower bound) and the per-partition delay measure
-//! of the paper's Figure 4.
+//! need: ASAP/ALAP levels drive list ordering, and delay-weighted longest
+//! paths give both the critical path (a latency lower bound) and the
+//! per-partition delay measure of the paper's Figure 4. No transitive-closure
+//! matrix is kept: `sparcs_analyze` takes its precedence-closure sums one
+//! column block at a time.
 
 use crate::graph::{GraphError, TaskGraph, TaskId};
 
@@ -67,92 +68,6 @@ pub fn levels(g: &TaskGraph) -> Result<Levels, GraphError> {
         .map(|&d| depth.saturating_sub(1) - d)
         .collect();
     Ok(Levels { asap, alap, depth })
-}
-
-/// Transitive closure as a dense bit matrix: bit `j` of row `i` is set iff
-/// there is a directed path `t_i ⇒ t_j` (the paper's `t_i ⤳ t_j`). Rows are
-/// `⌈V/64⌉` `u64` words, so the matrix takes `V²/8` bytes. No task reaches
-/// itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Reachability {
-    words_per_row: usize,
-    bits: Vec<u64>,
-}
-
-impl Reachability {
-    fn row(&self, from: TaskId) -> &[u64] {
-        let start = from.index() * self.words_per_row;
-        &self.bits[start..start + self.words_per_row]
-    }
-
-    /// Whether a directed path `from ⇒ to` exists.
-    pub fn reaches(&self, from: TaskId, to: TaskId) -> bool {
-        let j = to.index();
-        (self.row(from)[j / 64] >> (j % 64)) & 1 == 1
-    }
-
-    /// All tasks reachable from `from` (excluding itself), ascending.
-    pub fn descendants(&self, from: TaskId) -> impl Iterator<Item = TaskId> + '_ {
-        let (word, rest) = self.row(from).split_first().unwrap_or((&0, &[]));
-        SetBits {
-            word: *word,
-            base: 0,
-            rest: rest.iter(),
-        }
-    }
-}
-
-/// The set bits of a bit row as task ids, ascending: bit `b` of `word` is
-/// task `base + b`, and `rest` holds the row's later words.
-struct SetBits<'a> {
-    word: u64,
-    base: usize,
-    rest: std::slice::Iter<'a, u64>,
-}
-
-impl Iterator for SetBits<'_> {
-    type Item = TaskId;
-
-    fn next(&mut self) -> Option<TaskId> {
-        while self.word == 0 {
-            self.word = *self.rest.next()?;
-            self.base += 64;
-        }
-        let bit = self.word.trailing_zeros() as usize;
-        self.word &= self.word - 1;
-        Some(TaskId((self.base + bit) as u32))
-    }
-}
-
-/// Computes the transitive closure of the task graph.
-///
-/// Each row is the union of the task's successors and their rows, filled
-/// in reverse topological order: `O(V + E·V/64)` word operations over a
-/// `V²/8`-byte matrix (about 12.5 MB at 10k tasks).
-///
-/// # Errors
-///
-/// Returns [`GraphError::Cycle`] if the graph is not a DAG.
-pub fn reachability(g: &TaskGraph) -> Result<Reachability, GraphError> {
-    let order = g.topological_order()?;
-    let words_per_row = g.task_count().div_ceil(64);
-    let mut bits = vec![0u64; g.task_count() * words_per_row];
-    let mut row = vec![0u64; words_per_row];
-    for &t in order.iter().rev() {
-        row.fill(0);
-        for s in g.successors(t) {
-            let si = s.index();
-            for (r, &w) in row.iter_mut().zip(&bits[si * words_per_row..]) {
-                *r |= w;
-            }
-            row[si / 64] |= 1 << (si % 64);
-        }
-        bits[t.index() * words_per_row..][..words_per_row].copy_from_slice(&row);
-    }
-    Ok(Reachability {
-        words_per_row,
-        bits,
-    })
 }
 
 /// Result of a delay-weighted longest-path computation.
@@ -279,72 +194,6 @@ mod tests {
         assert_eq!(lv.alap[c.index()], 1);
         assert_eq!(lv.slack(c), 1);
         assert_eq!(lv.slack(a), 0);
-    }
-
-    #[test]
-    fn reachability_transitive() {
-        let (g, t) = fig4_like();
-        let r = reachability(&g).unwrap();
-        assert!(r.reaches(t[0], t[6]), "a1 reaches d2 transitively");
-        assert!(!r.reaches(t[6], t[0]));
-        assert!(!r.reaches(t[0], t[0]), "reflexive pairs excluded");
-        assert!(!r.reaches(t[0], t[2]), "parallel chains unrelated");
-        let upstream_of_d1 = g.task_ids().filter(|&u| r.reaches(u, t[5])).count();
-        assert_eq!(upstream_of_d1, 5, "d1 has all five upstream");
-        assert_eq!(r.descendants(t[4]).collect::<Vec<_>>(), vec![t[5], t[6]]);
-        assert_eq!(r.descendants(t[6]).count(), 0, "a leaf reaches nothing");
-    }
-
-    /// A random DAG whose edges follow a shuffled rank, so topological
-    /// order differs from id order.
-    fn random_dag(n: u32, seed: u64) -> TaskGraph {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut rank: Vec<u32> = (0..n).collect();
-        for i in (1..rank.len()).rev() {
-            rank.swap(i, rng.gen_range(0..=i));
-        }
-        let mut g = TaskGraph::new("random");
-        for i in 0..n {
-            g.add_task(format!("t{i}"), Resources::ZERO, 1, 1);
-        }
-        let p = (3.0 / f64::from(n.max(1))).min(1.0);
-        for u in 0..n {
-            for v in 0..n {
-                if rank[u as usize] < rank[v as usize] && rng.gen_bool(p) {
-                    g.add_edge(TaskId(u), TaskId(v), 1).unwrap();
-                }
-            }
-        }
-        g
-    }
-
-    #[test]
-    fn reachability_matches_dfs_across_word_boundaries() {
-        for n in [1u32, 63, 64, 65, 127, 128, 129, 300] {
-            for seed in 0..4 {
-                let g = random_dag(n, seed * 1000 + u64::from(n));
-                let r = reachability(&g).unwrap();
-                for from in g.task_ids() {
-                    let mut seen = vec![false; g.task_count()];
-                    let mut stack: Vec<TaskId> = g.successors(from).collect();
-                    while let Some(t) = stack.pop() {
-                        if !std::mem::replace(&mut seen[t.index()], true) {
-                            stack.extend(g.successors(t));
-                        }
-                    }
-                    for to in g.task_ids() {
-                        assert_eq!(
-                            r.reaches(from, to),
-                            seen[to.index()],
-                            "n = {n}, seed = {seed}: {from} -> {to}"
-                        );
-                    }
-                    let expected: Vec<TaskId> = g.task_ids().filter(|t| seen[t.index()]).collect();
-                    assert_eq!(r.descendants(from).collect::<Vec<_>>(), expected);
-                }
-            }
-        }
     }
 
     #[test]

@@ -476,6 +476,72 @@ impl TaskGraph {
             Err(GraphError::Cycle(on_cycle))
         }
     }
+
+    /// Appends an exact, compact rendering of the whole graph to `out`:
+    /// equal graphs render equally, and distinct graphs distinctly. Content
+    /// keys (the flow's partition cache, `sparcsd`'s result store) use it
+    /// in place of the derived `Debug`, which is about five times longer.
+    ///
+    /// Strings are quoted with `{:?}`, so a name cannot run into the next
+    /// field, and every list is preceded by its length. `succ` and `pred`
+    /// are left out: every constructor derives them from `edges`. Each
+    /// record is destructured in full, so a new field does not compile
+    /// until it is rendered here.
+    pub fn write_key(&self, out: &mut String) {
+        use fmt::Write as _;
+        let TaskGraph {
+            name,
+            tasks,
+            edges,
+            env_ports,
+            succ: _,
+            pred: _,
+        } = self;
+        let _ = write!(out, "graph {name:?}; tasks {}:", tasks.len());
+        for task in tasks {
+            let Task {
+                name,
+                resources,
+                delay_ns,
+                output_words,
+                kind,
+            } = task;
+            let Resources {
+                clbs,
+                flip_flops,
+                mult_blocks,
+                bram_words,
+            } = resources;
+            let _ = write!(
+                out,
+                " {name:?} {kind:?} {clbs} {flip_flops} {mult_blocks} {bram_words} {delay_ns} \
+                 {output_words},"
+            );
+        }
+        let _ = write!(out, "; edges {}:", edges.len());
+        for edge in edges {
+            let Edge { src, dst, words } = edge;
+            let _ = write!(out, " {}>{} {words},", src.0, dst.0);
+        }
+        let _ = write!(out, "; ports {}:", env_ports.len());
+        for port in env_ports {
+            let EnvPort {
+                name,
+                words,
+                direction,
+                tasks,
+            } = port;
+            let direction = match direction {
+                EnvDirection::Input => "in",
+                EnvDirection::Output => "out",
+            };
+            let _ = write!(out, " {name:?} {direction} {words} {}:", tasks.len());
+            for t in tasks {
+                let _ = write!(out, " {}", t.0);
+            }
+            out.push(',');
+        }
+    }
 }
 
 impl fmt::Display for TaskGraph {
@@ -589,6 +655,22 @@ mod tests {
         assert_eq!(
             g.add_env_input("dup", 1, [a, a]).unwrap_err(),
             GraphError::DuplicateEnvTask("dup".into(), a)
+        );
+    }
+
+    #[test]
+    fn write_key_renders_every_field() {
+        let mut g = TaskGraph::new("g");
+        let a = g.add_task_kind("a", "T1", Resources::new(1, 2, 3, 4), 5, 6);
+        let b = g.add_task("b \"q\"", Resources::clbs(7), 8, 9);
+        g.add_edge(a, b, 10).unwrap();
+        g.add_env_input("in", 11, [a]).unwrap();
+        g.add_env_output("out", 12, [a, b]).unwrap();
+        let mut key = String::new();
+        g.write_key(&mut key);
+        assert_eq!(
+            key,
+            r#"graph "g"; tasks 2: "a" "T1" 1 2 3 4 5 6, "b \"q\"" "" 7 0 0 0 8 9,; edges 1: 0>1 10,; ports 2: "in" in 11 1: 0, "out" out 12 2: 0 1,"#
         );
     }
 

@@ -35,7 +35,7 @@
 //!
 //! * [`graph`] — the [`TaskGraph`] container, its builder API and validation.
 //! * [`resources`] — multi-kind FPGA resource vectors ([`Resources`]).
-//! * [`algo`] — topological order, levels, reachability, critical paths.
+//! * [`algo`] — levels and critical paths (no reachability matrix).
 //! * [`paths`] — root→leaf path enumeration (the paper's `P_{ls}` set).
 //! * [`gen`] — deterministic task-graph generators for tests and ablations.
 //! * [`dot`] — Graphviz export.

@@ -26,8 +26,6 @@
 //!   the calling thread, deterministic node for node, and stops only when
 //!   the caller's `stop` signal fires. Phase 1 runs once at the root, never
 //!   per node.
-//! * [`enumerate`] — an exponential 0/1 enumeration solver used as a test
-//!   oracle on tiny models.
 //!
 //! # Example: a 0/1 knapsack
 //!
@@ -61,7 +59,6 @@
 
 pub mod basis;
 pub mod branch;
-pub mod enumerate;
 pub mod kernels;
 pub mod model;
 pub mod simplex;

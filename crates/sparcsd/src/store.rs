@@ -3,12 +3,15 @@
 //!
 //! Results are keyed by the *full rendered problem statement* (the same
 //! [`sparcs::cache::CacheKey`] material the in-memory `PartitionCache`
-//! uses), so two daemons sharing a store directory deduplicate one
+//! uses: the graph's exact compact rendering, then the board and the
+//! strategy), so two daemons sharing a store directory deduplicate one
 //! another's solves. The filename is only a 64-bit FNV of the statement;
 //! the statement itself is embedded in every file and compared on read, so
 //! a filename collision degrades to a store miss, never to serving a
 //! design solved for a different problem — the same collision-proofing
-//! argument the in-memory tier makes.
+//! argument the in-memory tier makes. A change to the rendering only
+//! costs misses: a record stored under the old statement is never found
+//! again, and its problem is solved afresh.
 //!
 //! ## Durability and cross-process safety
 //!

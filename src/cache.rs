@@ -11,12 +11,14 @@
 //! so each distinct problem is solved exactly once per process no matter
 //! how many sessions, explorations or tables ask for it.
 //!
-//! Keys are the *full* rendered problem statement — the stable `Debug`
-//! renderings of the inputs, concatenated with field separators — not a
-//! digest of it: every input type (`TaskGraph`, `Architecture`,
-//! `PartitionOptions`) derives `Debug` over plain data, so equal problems
-//! render equally, any field change (memory mode, solver budget, partition
-//! cap, an edge weight…) changes the key, and *distinct problems can never
+//! Keys are the *full* rendered problem statement, not a digest of it:
+//! the graph's exact compact rendering
+//! ([`TaskGraph::write_key`](sparcs_dfg::TaskGraph::write_key), every
+//! field, strings quoted) and the stable `Debug` renderings of the other
+//! inputs (`Architecture`, the strategy name and configuration, plain
+//! data), concatenated with field separators. So equal problems render
+//! equally, any field change (memory mode, solver budget, partition cap,
+//! an edge weight…) changes the key, and *distinct problems can never
 //! alias* — the map hashes internally, so a hash collision degrades to a
 //! bucket probe, never to handing back a design solved for a different
 //! graph. Strategies opt in by implementing
@@ -38,6 +40,7 @@
 //! authoritative). [`CacheStats`] counts hits, misses and evictions.
 
 use sparcs_core::PartitionedDesign;
+use sparcs_dfg::TaskGraph;
 use std::collections::HashMap;
 use std::fmt::{Debug, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,8 +51,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey(String);
 
-/// Accumulates the `Debug` renderings of a problem's inputs into a
-/// [`CacheKey`].
+/// Accumulates the renderings of a problem's inputs into a [`CacheKey`].
 #[derive(Debug, Default)]
 pub struct CacheKeyBuilder {
     material: String,
@@ -76,6 +78,16 @@ impl CacheKeyBuilder {
     /// (`("ab","c")` ≠ `("a","bc")`).
     pub fn push(mut self, value: &impl Debug) -> Self {
         let _ = write!(self.material, "{value:?}");
+        self.material.push('\u{1f}');
+        self
+    }
+
+    /// Feeds a task graph through its exact compact rendering
+    /// ([`TaskGraph::write_key`]), followed by the field separator. The
+    /// rendering quotes every string with `{:?}`, so it never holds a raw
+    /// separator.
+    pub fn push_graph(mut self, graph: &TaskGraph) -> Self {
+        graph.write_key(&mut self.material);
         self.material.push('\u{1f}');
         self
     }

@@ -443,7 +443,7 @@ pub fn statement_key(ctx: &DesignContext, strategy: &dyn PartitionStrategy) -> O
     let config = strategy.config_key()?;
     Some(
         CacheKey::builder()
-            .push(&ctx.graph)
+            .push_graph(&ctx.graph)
             .push(&ctx.arch)
             .push(&strategy.name())
             .push(&config)
@@ -1580,7 +1580,7 @@ impl Exploration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparcs_dfg::gen;
+    use sparcs_dfg::{gen, Resources, TaskId};
 
     fn session() -> FlowSession {
         FlowSession::new(gen::fig4_example(), Architecture::xc4044_wildforce())
@@ -1919,6 +1919,159 @@ mod tests {
         assert_eq!(first.design.latency_ns, second.design.latency_ns);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
+    }
+
+    /// The statement key of solving `g` on `arch` with `strategy`.
+    fn key_of(g: &TaskGraph, arch: &Architecture, strategy: &dyn PartitionStrategy) -> CacheKey {
+        let s = FlowSession::new(g.clone(), arch.clone());
+        statement_key(s.context(), strategy).expect("both strategies render a configuration")
+    }
+
+    /// A small graph in which field number `change` (if any) differs from
+    /// the base graph, and how many fields there are to change.
+    fn graph_with_change(change: Option<usize>) -> (TaskGraph, usize) {
+        let field = std::cell::Cell::new(0);
+        let changed = || {
+            field.set(field.get() + 1);
+            change == Some(field.get() - 1)
+        };
+        let num = |base: u64| base + u64::from(changed());
+        let text = |base: &str| format!("{base}{}", if changed() { "'" } else { "" });
+        let mut g = TaskGraph::new(text("g"));
+        for i in 0..3 {
+            let resources = Resources::new(num(10), num(2), num(1), num(0));
+            g.add_task_kind(
+                text(&format!("t{i}")),
+                text("T1"),
+                resources,
+                num(100),
+                num(4),
+            );
+        }
+        let src = |base: u32| TaskId(base + u32::from(changed()));
+        g.add_edge(src(0), TaskId(2), num(4)).unwrap();
+        g.add_edge(TaskId(0), TaskId(1), num(4)).unwrap();
+        let (name, words) = (text("x"), num(8));
+        let readers = [src(0), TaskId(2)];
+        if changed() {
+            g.add_env_output(name, words, readers).unwrap();
+        } else {
+            g.add_env_input(name, words, readers).unwrap();
+        }
+        let (name, words) = (text("y"), num(4));
+        let writers: &[TaskId] = if changed() {
+            &[TaskId(1), TaskId(2)]
+        } else {
+            &[TaskId(2)]
+        };
+        g.add_env_output(name, words, writers.iter().copied())
+            .unwrap();
+        (g, field.get())
+    }
+
+    #[test]
+    fn statement_keys_change_with_every_field_of_graph_board_and_options() {
+        let arch = Architecture::xc4044_wildforce();
+        let ilp = IlpStrategy::new();
+        let (base, fields) = graph_with_change(None);
+        assert!(fields >= 20, "{fields} graph fields");
+        let mut keys = vec![
+            key_of(&base, &arch, &ilp),
+            key_of(&base, &arch, &ListStrategy),
+        ];
+        for i in 0..fields {
+            keys.push(key_of(&graph_with_change(Some(i)).0, &arch, &ilp));
+        }
+        let boards: [fn(&mut Architecture); 9] = [
+            |a| a.name.push('\''),
+            |a| a.resources.clbs += 1,
+            |a| a.resources.flip_flops += 1,
+            |a| a.resources.mult_blocks += 1,
+            |a| a.resources.bram_words += 1,
+            |a| a.memory_words += 1,
+            |a| a.memory_word_bits += 1,
+            |a| a.reconfig_time_ns += 1,
+            |a| a.transfer_ns_per_word += 1,
+        ];
+        for change in boards {
+            let mut a = arch.clone();
+            change(&mut a);
+            keys.push(key_of(&base, &a, &ilp));
+        }
+        let options: [fn(&mut PartitionOptions); 11] = [
+            |o| o.model.memory_mode = MemoryMode::Edge,
+            |o| o.model.path_budget += 1,
+            |o| o.model.symmetry_breaking ^= true,
+            |o| o.model.declared_symmetry = vec![vec![TaskId(0), TaskId(1)]],
+            |o| o.model.density_cuts ^= true,
+            |o| o.solve.max_nodes += 1,
+            |o| o.solve.max_simplex_iters += 1,
+            |o| o.solve.tolerance *= 2.0,
+            |o| o.solve.warm_incumbent = Some(vec![0.0]),
+            |o| o.solve.root_bound = Some(1.0),
+            |o| o.max_partitions = Some(2),
+        ];
+        for change in options {
+            let mut o = PartitionOptions::default();
+            change(&mut o);
+            keys.push(key_of(&base, &arch, &IlpStrategy::with_options(o)));
+        }
+        let distinct: std::collections::HashSet<&CacheKey> = keys.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            keys.len(),
+            "some change left the key as it was"
+        );
+    }
+
+    #[test]
+    fn statement_keys_of_awkward_names_cannot_alias() {
+        // Task (name, kind) pairs that a rendering joining raw strings with
+        // spaces, quotes or the key separator would confuse.
+        let tasks = [
+            ("a 1", "x"),
+            ("a", "1 x"),
+            ("a\" \"1", "x"),
+            ("a", "1\" \"x"),
+            ("a\u{1f}", "x"),
+            ("a", "\u{1f}x"),
+        ];
+        let arch = Architecture::xc4044_wildforce();
+        let mut keys = Vec::new();
+        for graph in ["g", "g 1", "g\u{1f}", "g; tasks 0:"] {
+            for (name, kind) in tasks {
+                let mut g = TaskGraph::new(graph);
+                g.add_task_kind(name, kind, Resources::clbs(1), 1, 1);
+                g.add_env_output(name, 1, [TaskId(0)]).unwrap();
+                let key = key_of(&g, &arch, &ListStrategy);
+                // One separator after each of the four fields, none inside.
+                assert_eq!(key.as_str().matches('\u{1f}').count(), 4, "{key:?}");
+                keys.push(key);
+            }
+        }
+        let distinct: std::collections::HashSet<&CacheKey> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len());
+    }
+
+    #[test]
+    fn statement_keys_survive_a_text_round_trip() {
+        let dct = sparcs_jpeg::dct_task_graph(sparcs_jpeg::EstimateBackend::PaperCalibrated)
+            .expect("the DCT graph builds");
+        let arch = Architecture::xc4044_wildforce();
+        for g in [
+            gen::fig4_example(),
+            dct.graph,
+            gen::layered(&gen::LayeredConfig::default(), 5),
+            gen::scaled(&gen::ScaledConfig::preset(300), 3),
+        ] {
+            let back = parse::parse(&parse::to_text(&g)).expect("to_text output parses");
+            assert_eq!(
+                key_of(&back, &arch, &ListStrategy),
+                key_of(&g, &arch, &ListStrategy),
+                "{}",
+                g.name()
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Scale smoke for the two checkers on the seed-10 10k-node `gen::scaled`
 //! graph (the graph e2ebench's `scaled-10k` workload streams): the
-//! analyzer's bound facts and its lint count per rule are pinned in both
-//! memory modes, and the `list` and `memlist` designs and their fissions
-//! must audit clean. It asserts no wall time; e2ebench times these calls.
+//! analyzer's bound facts, its lint count per rule and a digest of its
+//! whole JSON report are pinned in both memory modes, and the `list` and
+//! `memlist` designs and their fissions must audit clean. It asserts no
+//! wall time; e2ebench times these calls.
 //!
 //! Compiled out under debug assertions (like the multilevel scale smoke);
 //! the CI workflow runs it in release.
@@ -28,11 +29,30 @@ fn big_board() -> Architecture {
     a
 }
 
+/// 64-bit FNV-1a.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 #[test]
 fn analyzer_facts_and_lints_are_pinned_at_ten_thousand_nodes() {
     let g = scaled(&ScaledConfig::preset_10k(), 10);
-    for mode in [MemoryMode::Net, MemoryMode::Edge] {
+    // Digests of the whole report, every witness and lint string
+    // included: a faster analyzer must leave them as they are. A generator
+    // that keeps edge widths consistent changes them, like the lint count
+    // below.
+    for (mode, digest) in [
+        (MemoryMode::Net, 0x6485_464b_6238_eba9_u64),
+        (MemoryMode::Edge, 0xb729_9fa5_832d_ddd7),
+    ] {
         let an = analyze(&g, &big_board(), mode).expect("a generated graph is a DAG");
+        assert_eq!(
+            fnv64(an.to_json().as_bytes()),
+            digest,
+            "{mode:?} report changed"
+        );
         let facts: Vec<(&str, u64)> = an.facts.iter().map(|f| (f.rule, f.bound)).collect();
         assert_eq!(
             facts,
