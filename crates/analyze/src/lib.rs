@@ -244,57 +244,61 @@ impl Analysis {
     }
 
     /// Renders the whole report as one JSON object (hand-rolled like the
-    /// audit layer's, so the analyzer stays serde-free).
+    /// audit layer's, so the analyzer stays serde-free). Every fact and
+    /// lint is escaped straight into the one returned buffer: at 100k
+    /// tasks the report runs to hundreds of megabytes.
     pub fn to_json(&self) -> String {
-        let facts: Vec<String> = self
-            .facts
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"rule\":\"{}\",\"bound\":{},\"witness\":\"{}\"}}",
-                    esc(f.rule),
-                    f.bound,
-                    esc(&f.witness)
-                )
-            })
-            .collect();
-        let lints: Vec<String> = self
-            .lints
-            .iter()
-            .map(|l| {
-                format!(
-                    "{{\"rule\":\"{}\",\"severity\":\"{}\",\"location\":\"{}\",\"details\":\"{}\"}}",
-                    esc(l.rule),
-                    l.severity,
-                    esc(&l.location),
-                    esc(&l.details)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"graph\":\"{}\",\"memory_mode\":\"{:?}\",\"schedulable\":{},\"facts\":[{}],\"lints\":[{}]}}",
-            esc(&self.graph),
-            self.memory_mode,
-            self.schedulable,
-            facts.join(","),
-            lints.join(",")
-        )
+        use fmt::Write as _;
+        let mut out = String::from("{\"graph\":\"");
+        esc_into(&mut out, &self.graph);
+        let _ = write!(
+            out,
+            "\",\"memory_mode\":\"{:?}\",\"schedulable\":{},\"facts\":[",
+            self.memory_mode, self.schedulable
+        );
+        for (i, f) in self.facts.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"rule\":\"");
+            esc_into(&mut out, f.rule);
+            let _ = write!(out, "\",\"bound\":{},\"witness\":\"", f.bound);
+            esc_into(&mut out, &f.witness);
+            out.push_str("\"}");
+        }
+        out.push_str("],\"lints\":[");
+        for (i, l) in self.lints.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"rule\":\"");
+            esc_into(&mut out, l.rule);
+            let _ = write!(out, "\",\"severity\":\"{}\",\"location\":\"", l.severity);
+            esc_into(&mut out, &l.location);
+            out.push_str("\",\"details\":\"");
+            esc_into(&mut out, &l.details);
+            out.push_str("\"}");
+        }
+        out.push_str("]}");
+        out
     }
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out` as the body of a JSON string.
+fn esc_into(out: &mut String, s: &str) {
+    use fmt::Write as _;
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Cross-checks the independently recomputed critical path against the
@@ -384,16 +388,19 @@ struct CriticalPaths {
 
 /// Both critical-path computations plus the reference path's task list.
 fn critical_paths(g: &TaskGraph) -> Result<CriticalPaths, GraphError> {
-    g.validate()?;
-    let order = own_topo_order(g).ok_or(
-        // Unreachable after validate(); name task 0 if it somehow fires.
-        GraphError::Cycle(TaskId(0)),
-    )?;
-    let own_ns = own_critical_path_ns(g, &order);
+    // The reference orders the graph with `TaskGraph::topological_order`,
+    // so a cycle comes back as the `GraphError::Cycle` that `validate`
+    // gives.
     let (reference_ns, reference_tasks) = match algo::critical_path(g)? {
         Some(cp) => (cp.delay_ns, cp.tasks),
         None => (0, Vec::new()),
     };
+    let order = own_topo_order(g).ok_or(
+        // Unreachable once the reference found an order; name task 0 if
+        // it somehow fires.
+        GraphError::Cycle(TaskId(0)),
+    )?;
+    let own_ns = own_critical_path_ns(g, &order);
     Ok(CriticalPaths {
         own_ns,
         reference_ns,
@@ -1154,6 +1161,99 @@ mod tests {
         assert!(json.contains("\"critical-path-bound\""));
         assert!(json.contains("\"bound\":700"));
         assert!(json.contains("\"lints\":[]"));
+    }
+
+    /// `to_json` as it was before it wrote into one buffer: a `String` per
+    /// fact and lint, joined, then copied through `format!`.
+    fn joined_json(an: &Analysis) -> String {
+        fn esc(s: &str) -> String {
+            let mut out = String::with_capacity(s.len());
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        let facts: Vec<String> = an
+            .facts
+            .iter()
+            .map(|f| {
+                format!(
+                    "{{\"rule\":\"{}\",\"bound\":{},\"witness\":\"{}\"}}",
+                    esc(f.rule),
+                    f.bound,
+                    esc(&f.witness)
+                )
+            })
+            .collect();
+        let lints: Vec<String> = an
+            .lints
+            .iter()
+            .map(|l| {
+                format!(
+                    "{{\"rule\":\"{}\",\"severity\":\"{}\",\"location\":\"{}\",\"details\":\"{}\"}}",
+                    esc(l.rule),
+                    l.severity,
+                    esc(&l.location),
+                    esc(&l.details)
+                )
+            })
+            .collect();
+        format!(
+            "{{\"graph\":\"{}\",\"memory_mode\":\"{:?}\",\"schedulable\":{},\"facts\":[{}],\"lints\":[{}]}}",
+            esc(&an.graph),
+            an.memory_mode,
+            an.schedulable,
+            facts.join(","),
+            lints.join(",")
+        )
+    }
+
+    #[test]
+    fn json_written_in_place_matches_the_joined_rendering() {
+        // Names that need escaping, an unschedulable task and edges wider
+        // than their producers, so the report has several lints.
+        let mut g = sparcs_dfg::TaskGraph::new("q\"b\\s\n\t\u{1}é");
+        let a = g.add_task("a\"1", Resources::clbs(10), 10, 2);
+        let b = g.add_task("b\\2", Resources::clbs(500), 20, 1);
+        let c = g.add_task("c\n3", Resources::clbs(10), 30, 1);
+        g.add_edge(a, b, 5).unwrap();
+        g.add_edge(b, c, 4).unwrap();
+        g.add_env_input("in\t", 2, [a]).unwrap();
+        for mode in [MemoryMode::Net, MemoryMode::Edge] {
+            let an = analyze(&g, &arch(100, 100), mode).unwrap();
+            assert!(an.lints.len() >= 3, "{:?}", an.lints);
+            assert_eq!(an.to_json(), joined_json(&an));
+        }
+        let an = analyze(&gen::fig4_example(), &arch(1200, 100), MemoryMode::Net).unwrap();
+        assert_eq!(an.to_json(), joined_json(&an));
+    }
+
+    /// `analyze` reports a cycle as `TaskGraph::validate` does, naming the
+    /// same task (here not task 0).
+    #[test]
+    fn a_cyclic_graph_fails_like_validate() {
+        let mut g = sparcs_dfg::TaskGraph::new("cyclic");
+        let a = g.add_task("a", Resources::clbs(10), 10, 1);
+        let b = g.add_task("b", Resources::clbs(10), 10, 1);
+        let c = g.add_task("c", Resources::clbs(10), 10, 1);
+        g.add_edge(a, b, 1).unwrap();
+        g.add_edge(b, c, 1).unwrap();
+        g.add_edge(c, b, 1).unwrap();
+        assert_eq!(g.validate(), Err(GraphError::Cycle(b)));
+        for mode in [MemoryMode::Net, MemoryMode::Edge] {
+            assert_eq!(
+                analyze(&g, &arch(100, 100), mode),
+                Err(GraphError::Cycle(b))
+            );
+        }
+        assert_eq!(critical_path_lb_ns(&g), Err(GraphError::Cycle(b)));
     }
 
     /// A random DAG of `n` tasks with nonzero CLB, flip-flop and

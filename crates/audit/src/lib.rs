@@ -222,6 +222,9 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
 // partition delays, boundary words): the whole point of the certifier is
 // that a bug in the production code paths cannot hide itself here. Every
 // helper reads the raw `g.edges()` list, never `TaskGraph`'s own adjacency.
+// The segment delays take one pass when every edge runs forward and one
+// pass per segment otherwise, each written here, so forged designs are
+// still priced exactly.
 // ---------------------------------------------------------------------------
 
 /// Out-edge index from the raw edge list: entry `t` holds the edges
@@ -260,9 +263,66 @@ fn own_topo_order(g: &TaskGraph) -> Option<Vec<TaskId>> {
 /// Longest root→leaf path per temporal segment, counting only the delays
 /// of tasks assigned to that segment (the convention behind
 /// `partition_delays_ns` everywhere in the workspace). `assignment[t]` is
-/// the segment of task `t`; `n` the segment count.
+/// the segment of task `t` (each below `n`); `n` the segment count.
+///
+/// When every edge runs forward in time, a path enters each segment at
+/// most once, so its tasks there are one run and one pass prices every
+/// segment: a task extends only the same-segment predecessors. A backward
+/// edge lets a path leave a segment and re-enter it, with both visits
+/// counted, so such an assignment (one the precedence rule already
+/// flags) takes one masked pass per segment instead.
 fn own_segment_delays(g: &TaskGraph, assignment: &[u32], n: u32) -> Option<Vec<u64>> {
     let order = own_topo_order(g)?;
+    let forward = g
+        .edges()
+        .iter()
+        .all(|e| assignment[e.src.index()] <= assignment[e.dst.index()]);
+    Some(if forward {
+        own_forward_segment_delays(g, assignment, n, &order)
+    } else {
+        own_masked_segment_delays(g, assignment, n, &order)
+    })
+}
+
+/// The one-pass rule of [`own_segment_delays`], for forward assignments.
+fn own_forward_segment_delays(
+    g: &TaskGraph,
+    assignment: &[u32],
+    n: u32,
+    order: &[TaskId],
+) -> Vec<u64> {
+    let mut same_segment_preds: Vec<Vec<usize>> = vec![Vec::new(); g.task_count()];
+    for e in g.edges() {
+        let (s, d) = (e.src.index(), e.dst.index());
+        if assignment[s] == assignment[d] {
+            same_segment_preds[d].push(s);
+        }
+    }
+    let mut delays = vec![0u64; n as usize];
+    let mut dist = vec![0u64; g.task_count()];
+    for &t in order {
+        let i = t.index();
+        let from_preds = same_segment_preds[i]
+            .iter()
+            .map(|&q| dist[q])
+            .max()
+            .unwrap_or(0);
+        dist[i] = from_preds + g.task(t).delay_ns;
+        let longest = &mut delays[assignment[i] as usize];
+        *longest = (*longest).max(dist[i]);
+    }
+    delays
+}
+
+/// One whole-graph longest path per segment, other segments' tasks
+/// weighted 0: exact for any assignment, and the reference the one-pass
+/// rule is tested against.
+fn own_masked_segment_delays(
+    g: &TaskGraph,
+    assignment: &[u32],
+    n: u32,
+    order: &[TaskId],
+) -> Vec<u64> {
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); g.task_count()];
     for e in g.edges() {
         preds[e.dst.index()].push(e.src.index());
@@ -274,7 +334,7 @@ fn own_segment_delays(g: &TaskGraph, assignment: &[u32], n: u32) -> Option<Vec<u
             *d = 0;
         }
         let mut longest = 0u64;
-        for &t in &order {
+        for &t in order {
             let i = t.index();
             let from_preds = preds[i].iter().map(|&q| dist[q]).max().unwrap_or(0);
             let own = if assignment[i] == p {
@@ -287,7 +347,7 @@ fn own_segment_delays(g: &TaskGraph, assignment: &[u32], n: u32) -> Option<Vec<u
         }
         delays[p as usize] = longest;
     }
-    Some(delays)
+    delays
 }
 
 /// Words stored across each of the `N − 1` partition boundaries, from the
@@ -1332,6 +1392,76 @@ mod tests {
                         own_segment_io(&g, a, n),
                         reference_segment_io(&g, a, n),
                         "seed {seed}, N = {n}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The one-pass segment delays against the audit's masked reference,
+    /// on forward assignments cut from a random topological order; any
+    /// assignment, backward edges included, must price like the reference.
+    #[test]
+    fn one_pass_segment_delays_match_the_masked_reference() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use sparcs_dfg::gen::{layered, scaled, LayeredConfig, ScaledConfig};
+        let deep = LayeredConfig {
+            layers: 12,
+            max_width: 8,
+            edge_prob: 0.3,
+            ..LayeredConfig::default()
+        };
+        let mut graphs = Vec::new();
+        for seed in 0..4 {
+            graphs.push(layered(&LayeredConfig::default(), seed));
+            graphs.push(layered(&deep, seed));
+        }
+        for seed in 0..3 {
+            graphs.push(scaled(&ScaledConfig::preset(300), seed));
+        }
+        let mut rng = StdRng::seed_from_u64(24);
+        for g in &graphs {
+            let n = g.task_count();
+            let order = own_topo_order(g).unwrap();
+            for _ in 0..25 {
+                // Kahn's algorithm with a random ready task each step.
+                let mut indegree = vec![0usize; n];
+                for e in g.edges() {
+                    indegree[e.dst.index()] += 1;
+                }
+                let out_edges = own_out_edges(g);
+                let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+                let mut shuffled = Vec::with_capacity(n);
+                while !ready.is_empty() {
+                    let i = ready.swap_remove(rng.gen_range(0..ready.len()));
+                    shuffled.push(i);
+                    for e in &out_edges[i] {
+                        indegree[e.dst.index()] -= 1;
+                        if indegree[e.dst.index()] == 0 {
+                            ready.push(e.dst.index());
+                        }
+                    }
+                }
+                let segments = rng.gen_range(1..=n.min(30)) as u32;
+                let mut cuts: Vec<usize> = (1..segments).map(|_| rng.gen_range(1..n)).collect();
+                cuts.sort_unstable();
+                let mut forward = vec![0u32; n];
+                for (pos, &i) in shuffled.iter().enumerate() {
+                    forward[i] = cuts.partition_point(|&c| c <= pos) as u32;
+                }
+                assert_eq!(
+                    own_forward_segment_delays(g, &forward, segments, &order),
+                    own_masked_segment_delays(g, &forward, segments, &order),
+                    "{}: forward cut at {cuts:?}",
+                    g.name()
+                );
+                let drawn: Vec<u32> = (0..n).map(|_| rng.gen_range(0..segments)).collect();
+                for a in [&forward, &drawn] {
+                    assert_eq!(
+                        own_segment_delays(g, a, segments),
+                        Some(own_masked_segment_delays(g, a, segments, &order)),
+                        "{}",
+                        g.name()
                     );
                 }
             }

@@ -6,11 +6,21 @@
 //! root→leaf path `π` and partition `p`, only the tasks of `π` that sit in
 //! `p` contribute; `d_p = max_π Σ_{t ∈ π ∩ p} D(t)`.
 //!
-//! [`partition_delays`] computes this without enumerating paths: for each
-//! partition, weight tasks by `D(t)` inside the partition and `0` outside,
-//! then take the longest weighted root→leaf path by dynamic programming —
-//! exact because weights are non-negative and every task lies on some
-//! root→leaf path.
+//! [`partition_delays`] computes this without enumerating paths, in one
+//! pass over a topological order when every edge runs forward
+//! (`p(src) ≤ p(dst)`, Eq. 2's temporal order). A root→leaf path then
+//! visits partitions in non-decreasing order, so its tasks in `p` form
+//! one contiguous run and `d_p` is the longest path of `p`'s induced
+//! subgraph: each task extends only its same-partition predecessors, and
+//! all partitions are priced at once in `O(V + E)`.
+//!
+//! A backward edge lets a path leave `p` and come back, and the
+//! definition counts both visits, so an assignment that breaks Eq. 2
+//! (a forged design, say) takes the general pass: for each partition,
+//! weight tasks by `D(t)` inside it and `0` outside, then take the
+//! longest weighted root→leaf path by dynamic programming, exact because
+//! weights are non-negative and every task lies on some root→leaf path.
+//! That is `O(N·(V + E))`. An `O(E)` check of the premise picks the pass.
 //!
 //! # The delay-sum lower bound
 //!
@@ -36,7 +46,7 @@
 //! `PartitionSum` delay rows, which over-approximate `d_p`.
 
 use crate::partitioning::Partitioning;
-use sparcs_dfg::{algo, GraphError, Resources, TaskGraph};
+use sparcs_dfg::{algo, GraphError, Resources, TaskGraph, TaskId};
 
 /// Per-partition delays `d_p` in nanoseconds (index = partition id).
 ///
@@ -45,6 +55,43 @@ use sparcs_dfg::{algo, GraphError, Resources, TaskGraph};
 /// Returns [`GraphError::Cycle`] if the graph is not a DAG.
 pub fn partition_delays(g: &TaskGraph, part: &Partitioning) -> Result<Vec<u64>, GraphError> {
     let order = g.topological_order()?;
+    let runs_forward = g
+        .edges()
+        .iter()
+        .all(|e| part.partition_of(e.src) <= part.partition_of(e.dst));
+    Ok(if runs_forward {
+        forward_delays(g, part, &order)
+    } else {
+        masked_delays(g, part, &order)
+    })
+}
+
+/// One pass for an assignment whose edges all run forward: `best[t]` is
+/// the longest path ending at `t` within `t`'s partition.
+fn forward_delays(g: &TaskGraph, part: &Partitioning, order: &[TaskId]) -> Vec<u64> {
+    let mut delays = vec![0u64; part.partition_count() as usize];
+    let mut best = vec![0u64; g.task_count()];
+    for &t in order {
+        let p = part.partition_of(t);
+        let from_preds = g
+            .predecessors(t)
+            .filter(|&q| part.partition_of(q) == p)
+            .map(|q| best[q.index()])
+            .max()
+            .unwrap_or(0);
+        best[t.index()] = g.task(t).delay_ns + from_preds;
+        // A (deserialized) assignment may name partitions past the count;
+        // like the masked pass, such tasks price no partition.
+        if let Some(d_p) = delays.get_mut(p.index()) {
+            *d_p = (*d_p).max(best[t.index()]);
+        }
+    }
+    delays
+}
+
+/// One whole-graph longest-path pass per partition, with the tasks of
+/// other partitions weighted 0: exact for any assignment.
+fn masked_delays(g: &TaskGraph, part: &Partitioning, order: &[TaskId]) -> Vec<u64> {
     let n_parts = part.partition_count() as usize;
     let mut delays = vec![0u64; n_parts];
     // best[t] = max over paths ending at t of the partition-masked sum.
@@ -54,7 +101,7 @@ pub fn partition_delays(g: &TaskGraph, part: &Partitioning) -> Result<Vec<u64>, 
             *b = 0;
         }
         let mut d_p = 0u64;
-        for &t in &order {
+        for &t in order {
             let w = if part.partition_of(t).index() == p {
                 g.task(t).delay_ns
             } else {
@@ -70,7 +117,7 @@ pub fn partition_delays(g: &TaskGraph, part: &Partitioning) -> Result<Vec<u64>, 
         }
         delays[p] = d_p;
     }
-    Ok(delays)
+    delays
 }
 
 /// Total design latency for one computation: `N·CT + Σ d_p`
@@ -134,6 +181,8 @@ pub fn delay_sum_bound_ns(g: &TaskGraph, capacity: &Resources) -> Result<u64, Gr
 mod tests {
     use super::*;
     use crate::partitioning::PartitionId;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use sparcs_dfg::gen::{LayeredConfig, ScaledConfig};
     use sparcs_dfg::{gen, paths};
 
     /// Figure 4 reproduction: partition 1 delay = max(350, 400, 150) = 400,
@@ -195,6 +244,85 @@ mod tests {
                 assert_eq!(dp[p.index()], by_enum, "seed {seed}, {p}");
             }
         }
+    }
+
+    /// A random topological order: Kahn's algorithm taking a random ready
+    /// task each step.
+    fn random_order(g: &TaskGraph, rng: &mut StdRng) -> Vec<TaskId> {
+        let mut indegree: Vec<usize> = g.task_ids().map(|t| g.in_degree(t)).collect();
+        let mut ready: Vec<TaskId> = g.task_ids().filter(|t| indegree[t.index()] == 0).collect();
+        let mut order = Vec::with_capacity(g.task_count());
+        while !ready.is_empty() {
+            let t = ready.swap_remove(rng.gen_range(0..ready.len()));
+            order.push(t);
+            for s in g.successors(t) {
+                indegree[s.index()] -= 1;
+                if indegree[s.index()] == 0 {
+                    ready.push(s);
+                }
+            }
+        }
+        order
+    }
+
+    /// The one-pass rule against the masked pass it replaces on forward
+    /// assignments, made by cutting a random topological order at random
+    /// points; uniform draws, which run edges backwards, must take the
+    /// masked pass, on which the one-pass rule would be wrong.
+    #[test]
+    fn one_pass_delays_match_the_masked_pass() {
+        let deep = LayeredConfig {
+            layers: 12,
+            max_width: 8,
+            edge_prob: 0.3,
+            ..LayeredConfig::default()
+        };
+        let mut graphs = vec![gen::fig4_example()];
+        for seed in 0..4 {
+            graphs.push(gen::layered(&LayeredConfig::default(), seed));
+            graphs.push(gen::layered(&deep, seed));
+        }
+        for seed in 0..3 {
+            graphs.push(gen::scaled(&ScaledConfig::preset(300), seed));
+        }
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut one_pass_would_be_wrong = 0;
+        for g in &graphs {
+            let n = g.task_count();
+            let reference = g.topological_order().unwrap();
+            for _ in 0..25 {
+                let order = random_order(g, &mut rng);
+                let segments = rng.gen_range(1..=n.min(30));
+                let mut cuts: Vec<usize> = (1..segments).map(|_| rng.gen_range(1..n)).collect();
+                cuts.sort_unstable();
+                let mut assignment = vec![PartitionId(0); n];
+                for (pos, t) in order.iter().enumerate() {
+                    assignment[t.index()] = PartitionId(cuts.partition_point(|&c| c <= pos) as u32);
+                }
+                let part = Partitioning::new(assignment);
+                assert!(g
+                    .edges()
+                    .iter()
+                    .all(|e| part.partition_of(e.src) <= part.partition_of(e.dst)));
+                assert_eq!(
+                    partition_delays(g, &part).unwrap(),
+                    masked_delays(g, &part, &reference),
+                    "{}: forward cut at {cuts:?}",
+                    g.name()
+                );
+
+                let drawn: Vec<PartitionId> = (0..n)
+                    .map(|_| PartitionId(rng.gen_range(0..segments as u32)))
+                    .collect();
+                let part = Partitioning::new(drawn);
+                let masked = masked_delays(g, &part, &reference);
+                assert_eq!(partition_delays(g, &part).unwrap(), masked, "{}", g.name());
+                if forward_delays(g, &part, &reference) != masked {
+                    one_pass_would_be_wrong += 1;
+                }
+            }
+        }
+        assert!(one_pass_would_be_wrong > 0);
     }
 
     #[test]

@@ -242,11 +242,38 @@ impl TaskGraph {
         {
             return Err(GraphError::DuplicateEdge(src, dst));
         }
+        self.append_edge(src, dst, words);
+        Ok(())
+    }
+
+    /// Appends the edge `src → dst` without [`TaskGraph::add_edge`]'s
+    /// duplicate scan. The caller has checked that both ids exist and
+    /// that `src != dst`, and checks for repeats afterwards with
+    /// [`TaskGraph::first_repeated_edge`].
+    pub(crate) fn append_edge(&mut self, src: TaskId, dst: TaskId, words: u64) {
         let idx = self.edges.len();
         self.edges.push(Edge { src, dst, words });
         self.succ[src.index()].push(idx);
         self.pred[dst.index()].push(idx);
-        Ok(())
+    }
+
+    /// The index of the first edge that repeats an earlier one (same
+    /// `src` and `dst`), in `O(V + E)`: each task's out-edges are walked
+    /// in insertion order, marking the consumers seen from that task.
+    pub(crate) fn first_repeated_edge(&self) -> Option<usize> {
+        let mut seen_from = vec![u32::MAX; self.tasks.len()];
+        let mut first: Option<usize> = None;
+        for (src, out) in self.succ.iter().enumerate() {
+            for &e in out {
+                let dst = self.edges[e].dst.index();
+                if seen_from[dst] == src as u32 {
+                    first = Some(first.map_or(e, |f| f.min(e)));
+                    break;
+                }
+                seen_from[dst] = src as u32;
+            }
+        }
+        first
     }
 
     /// Declares an environment *input* port of `words` distinct words read by

@@ -17,10 +17,23 @@
 //!
 //! [`parse`] builds a [`TaskGraph`]; [`to_text`] writes one back out
 //! (round-trip tested).
+//!
+//! # Cost
+//!
+//! [`parse`] is linear in the text. It walks each line's tokens once and
+//! matches the directive's keys in place on `&str` slices of the input;
+//! a number allocates only when it carries a `_` separator. Task names
+//! are indexed in a hash map that borrows the text. Edges are appended
+//! unchecked and searched for repeats in one pass over the adjacency when
+//! the walk ends, so a task with many consumers costs nothing extra (the
+//! builder's [`TaskGraph::add_edge`] scans the source's successor list
+//! instead). The name map hashes with std's randomly keyed `RandomState`:
+//! `sparcsd` parses text its clients send, and a fixed key would let a
+//! client pick names that collide in one bucket.
 
-use crate::graph::{GraphError, TaskGraph, TaskId};
+use crate::graph::{Edge, GraphError, TaskGraph, TaskId};
 use crate::resources::Resources;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 
 /// A parse failure, with the 1-based line it occurred on.
@@ -68,29 +81,51 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn fields(parts: &[&str], line: usize) -> Result<BTreeMap<String, String>, ParseError> {
-    let mut map = BTreeMap::new();
-    for p in parts {
-        let Some((k, v)) = p.split_once('=') else {
+/// Walks the `key=value` tokens of one line once and keeps, for each of
+/// `keys`, the value of its last occurrence. Unknown keys are ignored; a
+/// token without `=` is a [`ParseErrorKind::BadField`] before any value
+/// is judged.
+fn fields<'a, const K: usize>(
+    tokens: impl Iterator<Item = &'a str>,
+    keys: [&str; K],
+    line: usize,
+) -> Result<[Option<&'a str>; K], ParseError> {
+    let mut values = [None; K];
+    for token in tokens {
+        let Some((key, value)) = token.split_once('=') else {
             return Err(ParseError {
                 line,
-                kind: ParseErrorKind::BadField((*p).to_string()),
+                kind: ParseErrorKind::BadField(token.to_string()),
             });
         };
-        map.insert(k.to_string(), v.to_string());
+        if let Some(i) = keys.iter().position(|&k| k == key) {
+            values[i] = Some(value);
+        }
     }
-    Ok(map)
+    Ok(values)
 }
 
-fn num(map: &BTreeMap<String, String>, key: &'static str, line: usize) -> Result<u64, ParseError> {
-    let raw = map.get(key).ok_or(ParseError {
+/// A required unsigned field; `_` separators are dropped before parsing.
+fn num(raw: Option<&str>, key: &'static str, line: usize) -> Result<u64, ParseError> {
+    let raw = raw.ok_or(ParseError {
         line,
         kind: ParseErrorKind::MissingField(key),
     })?;
-    raw.replace('_', "").parse().map_err(|_| ParseError {
+    let value = if raw.contains('_') {
+        raw.replace('_', "").parse()
+    } else {
+        raw.parse()
+    };
+    value.map_err(|_| ParseError {
         line,
         kind: ParseErrorKind::BadField(format!("{key}={raw}")),
     })
+}
+
+/// The tokens of one line: the text before any `#`, split at Unicode
+/// whitespace.
+fn tokens(raw: &str) -> std::str::SplitWhitespace<'_> {
+    raw.split('#').next().unwrap_or("").split_whitespace()
 }
 
 /// Parses the text format into a [`TaskGraph`].
@@ -100,117 +135,116 @@ fn num(map: &BTreeMap<String, String>, key: &'static str, line: usize) -> Result
 /// Returns a [`ParseError`] naming the offending line.
 pub fn parse(text: &str) -> Result<TaskGraph, ParseError> {
     let mut g = TaskGraph::new("unnamed");
-    let mut names: BTreeMap<String, TaskId> = BTreeMap::new();
-    let lookup = |names: &BTreeMap<String, TaskId>, name: &str, line: usize| {
-        names.get(name).copied().ok_or(ParseError {
-            line,
-            kind: ParseErrorKind::UnknownTask(name.to_string()),
-        })
-    };
+    let walked = walk(text, &mut g);
+    // The walk appends edges without looking for repeats. Every edge it
+    // appended comes from a line before the one it stopped at, so the
+    // first repeat, if any, is the error to report.
+    if let Some(k) = g.first_repeated_edge() {
+        let Edge { src, dst, .. } = g.edges()[k];
+        let (i, _) = text
+            .lines()
+            .enumerate()
+            .filter(|(_, raw)| tokens(raw).next() == Some("edge"))
+            .nth(k)
+            .expect("edge k was appended from the k-th `edge` line");
+        return Err(ParseError {
+            line: i + 1,
+            kind: ParseErrorKind::Graph(GraphError::DuplicateEdge(src, dst)),
+        });
+    }
+    walked.map(|()| g)
+}
+
+/// Builds `g` line by line up to the first error. Edges are appended
+/// without [`TaskGraph::add_edge`]'s duplicate scan; [`parse`] checks
+/// them all at once afterwards.
+fn walk<'a>(text: &'a str, g: &mut TaskGraph) -> Result<(), ParseError> {
+    let mut names: HashMap<&'a str, TaskId> = HashMap::new();
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
-        let content = raw.split('#').next().unwrap_or("").trim();
-        if content.is_empty() {
+        let error = |kind| ParseError { line, kind };
+        let lookup = |name: &str| {
+            names
+                .get(name)
+                .copied()
+                .ok_or_else(|| error(ParseErrorKind::UnknownTask(name.to_string())))
+        };
+        let mut tokens = tokens(raw);
+        let Some(directive) = tokens.next() else {
             continue;
-        }
-        let mut parts = content.split_whitespace();
-        let directive = parts.next().expect("non-empty line");
-        let rest: Vec<&str> = parts.collect();
+        };
         match directive {
             "graph" => {
-                let name = rest.first().copied().unwrap_or("unnamed");
-                g = rename(g, name);
+                // Only a `graph` line before any task names the graph.
+                if g.task_count() == 0 && g.env_ports().is_empty() {
+                    *g = TaskGraph::new(tokens.next().unwrap_or("unnamed"));
+                }
             }
             "task" => {
-                let Some((&name, kv)) = rest.split_first() else {
-                    return Err(ParseError {
-                        line,
-                        kind: ParseErrorKind::MissingField("name"),
-                    });
-                };
+                let name = tokens
+                    .next()
+                    .ok_or_else(|| error(ParseErrorKind::MissingField("name")))?;
                 if names.contains_key(name) {
-                    return Err(ParseError {
-                        line,
-                        kind: ParseErrorKind::DuplicateTask(name.to_string()),
-                    });
+                    return Err(error(ParseErrorKind::DuplicateTask(name.to_string())));
                 }
-                let map = fields(kv, line)?;
-                let clbs = num(&map, "clbs", line)?;
-                let delay = num(&map, "delay", line)?;
-                let out = num(&map, "out", line)?;
-                let kind = map.get("kind").cloned().unwrap_or_default();
-                let id = g.add_task_kind(name, kind, Resources::clbs(clbs), delay, out);
-                names.insert(name.to_string(), id);
+                let [clbs, delay, out, kind] =
+                    fields(tokens, ["clbs", "delay", "out", "kind"], line)?;
+                let clbs = num(clbs, "clbs", line)?;
+                let delay = num(delay, "delay", line)?;
+                let out = num(out, "out", line)?;
+                let id = g.add_task_kind(
+                    name,
+                    kind.unwrap_or_default(),
+                    Resources::clbs(clbs),
+                    delay,
+                    out,
+                );
+                names.insert(name, id);
             }
             "edge" => {
                 // edge A -> B words=N
-                if rest.len() < 3 || rest[1] != "->" {
-                    return Err(ParseError {
-                        line,
-                        kind: ParseErrorKind::MissingArrow,
-                    });
-                }
-                let src = lookup(&names, rest[0], line)?;
-                let dst = lookup(&names, rest[2], line)?;
-                let map = fields(&rest[3..], line)?;
-                let words = if map.contains_key("words") {
-                    num(&map, "words", line)?
-                } else {
-                    g.task(src).output_words
+                let (Some(src), Some("->"), Some(dst)) =
+                    (tokens.next(), tokens.next(), tokens.next())
+                else {
+                    return Err(error(ParseErrorKind::MissingArrow));
                 };
-                g.add_edge(src, dst, words).map_err(|e| ParseError {
-                    line,
-                    kind: ParseErrorKind::Graph(e),
-                })?;
+                let src = lookup(src)?;
+                let dst = lookup(dst)?;
+                let [words] = fields(tokens, ["words"], line)?;
+                let words = match words {
+                    Some(_) => num(words, "words", line)?,
+                    None => g.task(src).output_words,
+                };
+                if src == dst {
+                    return Err(error(ParseErrorKind::Graph(GraphError::SelfLoop(src))));
+                }
+                g.append_edge(src, dst, words);
             }
             "input" | "output" => {
-                let Some((&name, kv)) = rest.split_first() else {
-                    return Err(ParseError {
-                        line,
-                        kind: ParseErrorKind::MissingField("name"),
-                    });
-                };
-                let map = fields(kv, line)?;
-                let words = num(&map, "words", line)?;
-                let tasks_raw = map.get("tasks").ok_or(ParseError {
-                    line,
-                    kind: ParseErrorKind::MissingField("tasks"),
-                })?;
-                let mut ids = Vec::new();
-                for t in tasks_raw.split(',').filter(|s| !s.is_empty()) {
-                    ids.push(lookup(&names, t, line)?);
-                }
+                let name = tokens
+                    .next()
+                    .ok_or_else(|| error(ParseErrorKind::MissingField("name")))?;
+                let [words, tasks] = fields(tokens, ["words", "tasks"], line)?;
+                let words = num(words, "words", line)?;
+                let tasks = tasks.ok_or_else(|| error(ParseErrorKind::MissingField("tasks")))?;
+                let ids = tasks
+                    .split(',')
+                    .filter(|s| !s.is_empty())
+                    .map(lookup)
+                    .collect::<Result<Vec<_>, _>>()?;
                 let result = if directive == "input" {
                     g.add_env_input(name, words, ids)
                 } else {
                     g.add_env_output(name, words, ids)
                 };
-                result.map_err(|e| ParseError {
-                    line,
-                    kind: ParseErrorKind::Graph(e),
-                })?;
+                result.map_err(|e| error(ParseErrorKind::Graph(e)))?;
             }
             other => {
-                return Err(ParseError {
-                    line,
-                    kind: ParseErrorKind::UnknownDirective(other.to_string()),
-                })
+                return Err(error(ParseErrorKind::UnknownDirective(other.to_string())));
             }
         }
     }
-    Ok(g)
-}
-
-/// Renames a graph (the builder has no rename; rebuild the shell cheaply).
-fn rename(g: TaskGraph, name: &str) -> TaskGraph {
-    // Only legal before any task is added (the `graph` directive comes
-    // first); otherwise keep contents and only change the label by
-    // serializing through the builder.
-    if g.task_count() == 0 && g.env_ports().is_empty() {
-        TaskGraph::new(name)
-    } else {
-        g
-    }
+    Ok(())
 }
 
 /// Writes a [`TaskGraph`] in the text format (inverse of [`parse`] up to
@@ -342,6 +376,21 @@ output packed words=4 tasks=b
             err.kind,
             ParseErrorKind::Graph(GraphError::SelfLoop(_))
         ));
+
+        // The first repeated edge in the text is reported, on its second
+        // line, before any error on a later line; here it leaves `b`,
+        // though `a`'s repeat is found first in task order.
+        let err = parse(
+            "task a clbs=1 delay=1 out=1\ntask b clbs=1 delay=1 out=1\n\
+             task c clbs=1 delay=1 out=1\nedge b -> c\nedge a -> c\nedge b -> c words=2\n\
+             edge a -> c\nbogus",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, 6);
+        assert_eq!(
+            err.kind,
+            ParseErrorKind::Graph(GraphError::DuplicateEdge(TaskId(1), TaskId(2)))
+        );
     }
 
     #[test]

@@ -1,22 +1,32 @@
-//! Scale smoke for the two checkers on the seed-10 10k-node `gen::scaled`
-//! graph (the graph e2ebench's `scaled-10k` workload streams): the
-//! analyzer's bound facts, its lint count per rule and a digest of its
-//! whole JSON report are pinned in both memory modes, and the `list` and
-//! `memlist` designs and their fissions must audit clean. It asserts no
-//! wall time; e2ebench times these calls.
+//! Scale smoke for the parser and the two checkers on the seed-10
+//! 10k-node `gen::scaled` graph (the graph e2ebench's `scaled-10k`
+//! workload streams): its `.tg` text is pinned by length and digest and
+//! must parse back to the generated graph; the analyzer's bound facts,
+//! its lint count per rule and a digest of its whole JSON report are
+//! pinned in both memory modes; and the `list` and `memlist` designs
+//! parsed from that text are pinned (partition count, latency, a digest of
+//! the delay vector) and must audit clean with their fissions. A race on
+//! a 50k-edge star checks that the parser stays linear in a task's
+//! out-degree, against the quadratic parser it replaced. Only that race
+//! reads a clock; e2ebench times the rest.
 //!
 //! Compiled out under debug assertions (like the multilevel scale smoke);
 //! the CI workflow runs it in release.
 #![cfg(not(debug_assertions))]
 
+#[path = "support/parse_oracle.rs"]
+mod parse_oracle;
+
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 use sparcs::analyze::{analyze, rules};
 use sparcs::audit::audit_fission;
 use sparcs::core::partitioning::MemoryMode;
 use sparcs::core::PartitionOptions;
 use sparcs::dfg::gen::{scaled, ScaledConfig};
-use sparcs::dfg::Resources;
+use sparcs::dfg::parse::{parse, to_text};
+use sparcs::dfg::{Resources, TaskGraph};
 use sparcs::estimate::Architecture;
 use sparcs::flow::FlowSession;
 use sparcs::strategy::parse_spec;
@@ -85,13 +95,32 @@ fn analyzer_facts_and_lints_are_pinned_at_ten_thousand_nodes() {
 }
 
 #[test]
+fn the_ten_thousand_node_text_is_pinned_and_parses_back() {
+    let g = scaled(&ScaledConfig::preset_10k(), 10);
+    let text = to_text(&g);
+    assert_eq!(text.len(), 3_804_812);
+    assert_eq!(fnv64(text.as_bytes()), 0x98d1_4d7e_cb17_f8e7);
+    assert_eq!(parse(&text), Ok(g));
+}
+
+#[test]
 fn list_and_memlist_designs_and_fissions_audit_clean() {
-    let session = FlowSession::new(scaled(&ScaledConfig::preset_10k(), 10), big_board());
+    let text = to_text(&scaled(&ScaledConfig::preset_10k(), 10));
+    let session = FlowSession::from_text(&text, big_board()).expect("the text parses");
     for spec in ["list", "memlist"] {
         let strategy = parse_spec(spec, &PartitionOptions::default()).expect("spec");
         let stage = session
             .partition_with(strategy.as_ref())
             .expect("the heuristics partition the 10k-node graph");
+        let design = &stage.design;
+        let delays: Vec<u8> = design
+            .partition_delays_ns
+            .iter()
+            .flat_map(|d| d.to_le_bytes())
+            .collect();
+        assert_eq!(design.partitioning.partition_count(), 23, "{spec}");
+        assert_eq!(design.latency_ns, 2_300_094_459, "{spec}");
+        assert_eq!(fnv64(&delays), 0xa7cd_ce99_f76f_1f85, "{spec} delays");
         for mode in [MemoryMode::Net, MemoryMode::Edge] {
             assert_eq!(stage.certify(mode), Vec::new(), "{spec} design, {mode:?}");
         }
@@ -104,4 +133,29 @@ fn list_and_memlist_designs_and_fissions_audit_clean() {
         );
         assert_eq!(diags, Vec::new(), "{spec} fission");
     }
+}
+
+/// One hub feeding 50,000 tasks: the replaced parser scanned the hub's
+/// successors for a duplicate on every edge line.
+#[test]
+fn parser_is_ten_times_the_oracle_on_a_fifty_thousand_edge_star() {
+    let mut g = TaskGraph::new("star");
+    let hub = g.add_task("hub", Resources::clbs(1), 1, 1);
+    for i in 0..50_000 {
+        let leaf = g.add_task(format!("s{i}"), Resources::clbs(1), 1, 1);
+        g.add_edge(hub, leaf, 1).expect("a new edge");
+    }
+    let text = to_text(&g);
+    let t0 = Instant::now();
+    let ours = parse(&text);
+    let fast = t0.elapsed();
+    let t0 = Instant::now();
+    let oracle = parse_oracle::parse(&text);
+    let slow = t0.elapsed();
+    assert_eq!(ours, oracle);
+    assert_eq!(ours, Ok(g));
+    assert!(
+        slow >= fast * 10,
+        "parse took {fast:?}, the oracle {slow:?}"
+    );
 }
