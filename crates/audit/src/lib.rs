@@ -228,7 +228,8 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Out-edge index from the raw edge list: entry `t` holds the edges
-/// leaving task `t`, in edge-list order.
+/// leaving task `t`, in edge-list order. Each audit builds it once and
+/// hands it to the helpers below that walk a task's consumers.
 fn own_out_edges(g: &TaskGraph) -> Vec<Vec<&Edge>> {
     let mut out: Vec<Vec<&Edge>> = vec![Vec::new(); g.task_count()];
     for e in g.edges() {
@@ -237,14 +238,14 @@ fn own_out_edges(g: &TaskGraph) -> Vec<Vec<&Edge>> {
     out
 }
 
-/// Kahn's algorithm over the raw edge list. Returns `None` on a cycle.
-fn own_topo_order(g: &TaskGraph) -> Option<Vec<TaskId>> {
+/// Kahn's algorithm over the raw edge list and its `out_edges` index.
+/// Returns `None` on a cycle.
+fn own_topo_order(g: &TaskGraph, out_edges: &[Vec<&Edge>]) -> Option<Vec<TaskId>> {
     let n = g.task_count();
     let mut indegree = vec![0usize; n];
     for e in g.edges() {
         indegree[e.dst.index()] += 1;
     }
-    let out_edges = own_out_edges(g);
     let mut frontier: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
     let mut order = Vec::with_capacity(n);
     while let Some(i) = frontier.pop() {
@@ -271,8 +272,13 @@ fn own_topo_order(g: &TaskGraph) -> Option<Vec<TaskId>> {
 /// edge lets a path leave a segment and re-enter it, with both visits
 /// counted, so such an assignment (one the precedence rule already
 /// flags) takes one masked pass per segment instead.
-fn own_segment_delays(g: &TaskGraph, assignment: &[u32], n: u32) -> Option<Vec<u64>> {
-    let order = own_topo_order(g)?;
+fn own_segment_delays(
+    g: &TaskGraph,
+    out_edges: &[Vec<&Edge>],
+    assignment: &[u32],
+    n: u32,
+) -> Option<Vec<u64>> {
+    let order = own_topo_order(g, out_edges)?;
     let forward = g
         .edges()
         .iter()
@@ -352,7 +358,13 @@ fn own_masked_segment_delays(
 
 /// Words stored across each of the `N − 1` partition boundaries, from the
 /// raw edge list (paper Eq. 3 under either accounting convention).
-fn own_boundary_words(g: &TaskGraph, assignment: &[u32], n: u32, mode: MemoryMode) -> Vec<u64> {
+fn own_boundary_words(
+    g: &TaskGraph,
+    out_edges: &[Vec<&Edge>],
+    assignment: &[u32],
+    n: u32,
+    mode: MemoryMode,
+) -> Vec<u64> {
     if n <= 1 {
         return Vec::new();
     }
@@ -370,7 +382,6 @@ fn own_boundary_words(g: &TaskGraph, assignment: &[u32], n: u32, mode: MemoryMod
         MemoryMode::Net => {
             // One stored copy per produced value, live until its last
             // consumer's segment.
-            let out_edges = own_out_edges(g);
             for (t, task) in g.tasks() {
                 let ps = assignment[t.index()];
                 let last = out_edges[t.index()]
@@ -406,7 +417,12 @@ impl SegIo {
     }
 }
 
-fn own_segment_io(g: &TaskGraph, assignment: &[u32], n: u32) -> Vec<SegIo> {
+fn own_segment_io(
+    g: &TaskGraph,
+    out_edges: &[Vec<&Edge>],
+    assignment: &[u32],
+    n: u32,
+) -> Vec<SegIo> {
     let mut io = vec![SegIo::default(); n as usize];
     for (_, port) in g.env_inputs() {
         let mut parts: Vec<u32> = port.tasks.iter().map(|&t| assignment[t.index()]).collect();
@@ -424,7 +440,6 @@ fn own_segment_io(g: &TaskGraph, assignment: &[u32], n: u32) -> Vec<SegIo> {
             io[p as usize].env_out += port.words;
         }
     }
-    let out_edges = own_out_edges(g);
     for (t, task) in g.tasks() {
         let ps = assignment[t.index()];
         let mut words_into: Vec<(u32, u64)> = Vec::new();
@@ -487,6 +502,7 @@ pub fn audit_design(
         ));
         return diags;
     }
+    let out_edges = own_out_edges(g);
     let mut seen = vec![false; n as usize];
     for &p in &assignment {
         seen[p as usize] = true;
@@ -543,7 +559,7 @@ pub fn audit_design(
     }
 
     // Eq. 3: boundary memory within M_max.
-    for (b, &words) in own_boundary_words(g, &assignment, n, mode)
+    for (b, &words) in own_boundary_words(g, &out_edges, &assignment, n, mode)
         .iter()
         .enumerate()
     {
@@ -563,7 +579,7 @@ pub fn audit_design(
 
     // The delay vector, recomputed. A cycle makes delays undefined (and is
     // itself a fatal precedence defect).
-    let Some(recomputed) = own_segment_delays(g, &assignment, n) else {
+    let Some(recomputed) = own_segment_delays(g, &out_edges, &assignment, n) else {
         diags.push(Diagnostic::error(
             rules::PRECEDENCE_INVERSION,
             "design",
@@ -728,11 +744,12 @@ pub fn audit_fission(
         return diags;
     }
     let assignment: Vec<u32> = part.assignment().iter().map(|p| p.0).collect();
+    let out_edges = own_out_edges(g);
 
     // m_i_temp conservation: the block budget must equal what the
     // partition actually moves per computation (§2.2's m_i_temp = words
     // read in + words written out).
-    let io = own_segment_io(g, &assignment, n);
+    let io = own_segment_io(g, &out_edges, &assignment, n);
     let moved: Vec<u64> = io.iter().map(SegIo::moved).collect();
     if fission.m_temp_words.len() != n as usize || fission.block_words.len() != n as usize {
         diags.push(Diagnostic::error(
@@ -827,7 +844,7 @@ pub fn audit_fission(
     }
 
     // The embedded delay vector and per-computation RTR delay.
-    match own_segment_delays(g, &assignment, n) {
+    match own_segment_delays(g, &out_edges, &assignment, n) {
         Some(recomputed) => {
             if fission.partition_delays_ns.len() != n as usize {
                 diags.push(Diagnostic::error(
@@ -949,7 +966,7 @@ pub fn audit_time_report(
     // The executable design drains exactly the environment-output words
     // (once per producing partition) to its sink after the last
     // configuration.
-    let env_out: u64 = own_segment_io(g, &assignment, n)
+    let env_out: u64 = own_segment_io(g, &own_out_edges(g), &assignment, n)
         .iter()
         .map(|io| io.env_out)
         .sum();
@@ -1366,7 +1383,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(16);
         for seed in 0..8u64 {
             let g = scaled(&ScaledConfig::preset(65 + 30 * seed as u32), seed);
-            let order = own_topo_order(&g).unwrap();
+            let out_edges = own_out_edges(&g);
+            let order = own_topo_order(&g, &out_edges).unwrap();
             for n in [1u32, 2, 3, 7, 20] {
                 // Uniform draws run many edges backwards; segments follow
                 // topological position in the forward assignment; only the
@@ -1383,13 +1401,13 @@ mod tests {
                 for a in [&random, &forward, &sparse] {
                     for mode in [MemoryMode::Net, MemoryMode::Edge] {
                         assert_eq!(
-                            own_boundary_words(&g, a, n, mode),
+                            own_boundary_words(&g, &out_edges, a, n, mode),
                             reference_boundary_words(&g, a, n, mode),
                             "seed {seed}, N = {n}, {mode:?}"
                         );
                     }
                     assert_eq!(
-                        own_segment_io(&g, a, n),
+                        own_segment_io(&g, &out_edges, a, n),
                         reference_segment_io(&g, a, n),
                         "seed {seed}, N = {n}"
                     );
@@ -1422,14 +1440,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(24);
         for g in &graphs {
             let n = g.task_count();
-            let order = own_topo_order(g).unwrap();
+            let out_edges = own_out_edges(g);
+            let order = own_topo_order(g, &out_edges).unwrap();
             for _ in 0..25 {
                 // Kahn's algorithm with a random ready task each step.
                 let mut indegree = vec![0usize; n];
                 for e in g.edges() {
                     indegree[e.dst.index()] += 1;
                 }
-                let out_edges = own_out_edges(g);
                 let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
                 let mut shuffled = Vec::with_capacity(n);
                 while !ready.is_empty() {
@@ -1458,7 +1476,7 @@ mod tests {
                 let drawn: Vec<u32> = (0..n).map(|_| rng.gen_range(0..segments)).collect();
                 for a in [&forward, &drawn] {
                     assert_eq!(
-                        own_segment_delays(g, a, segments),
+                        own_segment_delays(g, &out_edges, a, segments),
                         Some(own_masked_segment_delays(g, a, segments, &order)),
                         "{}",
                         g.name()

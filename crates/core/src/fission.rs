@@ -264,7 +264,7 @@ impl FissionAnalysis {
         t
     }
 
-    /// Picks the cheaper strategy for `total` computations — *"[IDH] will be
+    /// Picks the cheaper strategy for `total` computations — *"\[IDH\] will be
     /// beneficial over the FDH method, if the overhead to save and restore
     /// the intermediate data is less than the reconfiguration overhead."*
     pub fn choose_strategy(&self, total: u64) -> SequencingStrategy {

@@ -79,11 +79,6 @@ impl Resources {
             && self.bram_words <= capacity.bram_words
     }
 
-    /// Returns `true` when every component is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == Resources::ZERO
-    }
-
     /// Component-wise saturating subtraction (slack remaining in a device).
     pub fn saturating_sub(&self, other: &Resources) -> Resources {
         Resources {

@@ -14,7 +14,6 @@
 
 use crate::opgraph::OpKind;
 use serde::{Deserialize, Serialize};
-use sparcs_dfg::Resources;
 
 /// Cost and delay models for functional units, registers and control logic.
 ///
@@ -100,11 +99,6 @@ impl ComponentLibrary {
     /// Applies the floorplan overhead multiplier to a raw CLB count.
     pub fn with_layout_overhead(&self, raw_clbs: u64) -> u64 {
         (raw_clbs as f64 * self.layout_overhead).ceil() as u64
-    }
-
-    /// Resource vector of one functional unit (CLBs only on XC4000).
-    pub fn fu_resources(&self, kind: OpKind, bits: u32) -> Resources {
-        Resources::clbs(self.fu_clbs(kind, bits))
     }
 }
 

@@ -70,11 +70,6 @@ pub fn t2_estimate() -> TaskEstimate {
     )
 }
 
-/// Estimate of the whole static DCT design.
-pub fn static_dct_estimate() -> TaskEstimate {
-    TaskEstimate::from_cycles(Resources::clbs(1600), STATIC_CYCLES, STATIC_CLOCK_NS)
-}
-
 /// RTR per-computation delay over all three partitions in ns (8.44 µs; the
 /// paper notes it is 7560 ns less than the static 16 µs).
 pub fn rtr_total_delay_ns() -> u64 {

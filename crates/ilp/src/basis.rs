@@ -61,11 +61,6 @@ impl Basis {
         }
     }
 
-    /// Number of rows.
-    pub fn dim(&self) -> usize {
-        self.m
-    }
-
     /// Number of etas accumulated since the last reinversion.
     pub fn eta_count(&self) -> usize {
         self.pivot_row.len()

@@ -4,7 +4,7 @@
 //! It is solver-agnostic data: [`crate::simplex`] solves its continuous
 //! relaxation, [`crate::branch`] its mixed 0/1-integer form. The builder also
 //! provides the *linearization* helper the paper cites ("linearization
-//! techniques have been used successfully before in [7]"): products of two
+//! techniques have been used successfully before in \[7\]"): products of two
 //! binary variables become a fresh binary with three inequality rows.
 
 use serde::{Deserialize, Serialize};

@@ -32,7 +32,7 @@
 //! the rate changes (see `BENCH_ilp.json`).
 //!
 //! The public [`solve_lp`]/[`solve_lp_with_bounds`] entry points keep their
-//! original signatures; [`Workspace`] is the crate-internal warm-start
+//! original signatures; `Workspace` is the crate-internal warm-start
 //! surface consumed by [`crate::branch`].
 
 use crate::basis::Basis;

@@ -1,21 +1,24 @@
 //! Host sequencers: static baseline, FDH and IDH (paper §2.2).
 //!
-//! All three sequencers are *functional* — they move real data through the
-//! board memory and run each configuration's kernel — and *timed* with one
-//! consistent transfer convention: host↔memory traffic moves whole
-//! per-computation blocks (`block_words` per direction), exactly the
-//! granularity of the paper's "Load block j / Read block j" listings and of
-//! its IDH overhead formula `2·k·I_sw·D_m·m_i`.
+//! All three sequencers are *functional* — they run each configuration's
+//! kernel on real data — and *timed* with one consistent transfer
+//! convention: host↔memory traffic moves whole per-computation blocks
+//! (`block_words` per direction), exactly the granularity of the paper's
+//! "Load block j / Read block j" listings and of its IDH overhead formula
+//! `2·k·I_sw·D_m·m_i`. Board memory enters as that `D_m` charge and as the
+//! `k · max block ≤ M_max` budget; the words that stay resident between
+//! configurations live in each computation's value history (see
+//! [`crate::design`]).
 //!
 //! ## The streaming drivers
 //!
 //! Execution is a *batch-pull* loop: a [`Sequencer`] pulls one batch of
-//! `k` computations' input words from an [`InputSource`], stages it through
-//! the board memory, runs every slot's kernel, and pushes the batch's real
-//! outputs into an [`OutputSink`] before touching the next batch. Host
-//! buffers hold `min(k, I)` slots (at least one): the simulated bank
-//! `slots · max_block_words` words, plus one value history per slot whose
-//! length is fixed by the design. They never grow with the workload, so a
+//! `k` computations' input words from an [`InputSource`], runs every
+//! slot's kernel, and pushes the batch's real outputs into an
+//! [`OutputSink`] before touching the next batch. Host buffers hold
+//! `min(k, I)` slots (at least one): one value history per slot, whose
+//! length is fixed by the design, plus one lane chunk of
+//! structure-of-arrays rows. They never grow with the workload, so a
 //! synthetic multi-gigabyte stream runs at constant memory, and a short
 //! stream on a huge board does not allocate the whole board. The
 //! [`TimeReport`] accumulates incrementally alongside the data, charged
@@ -24,10 +27,10 @@
 //! Within a batch the RTR drivers are *loop-fissioned* like the designs
 //! they simulate. There is one execute path: `execute_batch` walks the
 //! slots in chunks of up to [`MAX_BATCH_LANES`] lanes and runs a load
-//! pass (gather the chunk's inputs, mirror them into the bank, transpose
-//! them to structure-of-arrays rows), a compute pass (one call of the
+//! pass (gather the chunk's selected inputs straight into
+//! structure-of-arrays rows), a compute pass (one call of the
 //! configuration's [`crate::design::BatchKernel`] over every lane) and a
-//! store pass (scatter the outputs to the histories and the bank). A
+//! store pass (scatter the outputs to the histories). A
 //! configuration without a native batch kernel runs its scalar
 //! [`Configuration::kernel`] through the per-lane adapter that
 //! [`Configuration::new`] installs; the scalar kernel stays the
@@ -70,7 +73,6 @@
 //! does not push downstream (*"only the first I computations from the output
 //! will have to be picked up"*).
 
-use crate::board::{BoardError, MemoryBank};
 use crate::design::{Configuration, RtrDesign, StaticDesign, MAX_BATCH_LANES};
 use crate::report::TimeReport;
 use crate::stream::{InputSource, OutputSink, SliceSource, VecSink};
@@ -89,11 +91,13 @@ use std::time::Instant;
 /// [`PhaseProfile::compute_ns`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
-    /// Input staging: source pulls, history seeding, board input writes.
+    /// Input staging: source pulls, history seeding, gathers into the
+    /// kernels' input rows.
     pub load_ns: u64,
     /// Kernel execution over whole batches.
     pub compute_ns: u64,
-    /// Output stores: board readback, history appends, sink pushes.
+    /// Output stores: history appends, the design's output gather, sink
+    /// pushes.
     pub store_ns: u64,
 }
 
@@ -105,8 +109,6 @@ fn ns_since(t0: Instant) -> u64 {
 /// Errors from the host sequencers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HostError {
-    /// A board-level failure (out-of-bounds access, …).
-    Board(BoardError),
     /// The design's batched blocks do not fit the board memory.
     MemoryBudget {
         /// Words needed (`k · max block`).
@@ -124,7 +126,6 @@ pub enum HostError {
 impl fmt::Display for HostError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HostError::Board(e) => write!(f, "{e}"),
             HostError::MemoryBudget { needed, available } => {
                 write!(
                     f,
@@ -138,20 +139,7 @@ impl fmt::Display for HostError {
     }
 }
 
-impl std::error::Error for HostError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            HostError::Board(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<BoardError> for HostError {
-    fn from(e: BoardError) -> Self {
-        HostError::Board(e)
-    }
-}
+impl std::error::Error for HostError {}
 
 /// A timed host-execution driver: pulls whole batches from an
 /// [`InputSource`], runs them through the simulated board, and pushes the
@@ -261,7 +249,6 @@ impl Sequencer for StaticSequencer<'_> {
                 available: arch.memory_words,
             });
         }
-        let mut bank = MemoryBank::new(in_w + design.output_words);
         let mut report = TimeReport {
             reconfig_ns: u128::from(arch.reconfig_time_ns),
             reconfigurations: 1,
@@ -277,10 +264,8 @@ impl Sequencer for StaticSequencer<'_> {
         let t0 = Instant::now();
         for _ in 0..computations {
             source.read(&mut buf);
-            bank.write(0, &buf)?;
-            (design.kernel)(bank.read(0, in_w)?, &mut out);
-            bank.write(in_w, &out)?;
-            sink.write(bank.read(in_w, design.output_words)?);
+            (design.kernel)(&buf, &mut out);
+            sink.write(&out);
             // Double-buffered: streaming hides behind computation.
             exposed += transfer_ns.saturating_sub(delay);
             report.compute_ns += delay;
@@ -314,11 +299,9 @@ struct BatchBuffers {
     /// History words currently valid — identical for every slot, because
     /// the fissioned loop advances each stage for the whole batch at once.
     filled: usize,
-    /// Load-phase gather target: one lane chunk's selected inputs,
-    /// slot-major.
-    gathered: Vec<i32>,
-    /// Compute-phase SoA staging: one lane chunk's inputs, transposed to
-    /// `input_words` rows of up to [`MAX_BATCH_LANES`] lanes.
+    /// Load-phase gather target: one lane chunk's selected inputs as
+    /// `input_words` rows of up to [`MAX_BATCH_LANES`] lanes, the layout
+    /// the batch kernel reads.
     soa_in: Vec<i32>,
     /// Compute-phase SoA staging: one lane chunk's outputs, row-major.
     soa_out: Vec<i32>,
@@ -329,7 +312,13 @@ struct BatchBuffers {
 }
 
 impl BatchBuffers {
-    fn new(design: &RtrDesign, slots: usize) -> Self {
+    /// The buffers for a stream of `computations`, sized by the slots the
+    /// stream fills — `min(k, computations)`, at least one. Only a
+    /// single-batch stream has fewer real computations than `k`, and its
+    /// missing slots would only ever hold padding.
+    fn new(design: &RtrDesign, computations: u64) -> Self {
+        // cast-ok: slots <= k, a batch width bounded by board memory / block_words
+        let slots = design.k.min(computations).max(1) as usize;
         let stride = design.primary_input_words as usize // cast-ok: word counts are bounded by board memory, far below usize::MAX
             + design
                 .configurations
@@ -353,7 +342,6 @@ impl BatchBuffers {
             histories: vec![0; slots * stride],
             stride,
             filled: 0,
-            gathered: Vec::with_capacity(max_in * MAX_BATCH_LANES),
             soa_in: Vec::with_capacity(max_in * MAX_BATCH_LANES),
             soa_out: Vec::with_capacity(max_out * MAX_BATCH_LANES),
             kernel_scratch: Vec::new(),
@@ -405,53 +393,38 @@ fn rtr_shape(
     Ok((computations, batches))
 }
 
-/// The host-side staging for a stream of `computations`: the simulated
-/// bank and the batch buffers, sized by the slots the stream fills —
-/// `min(k, computations)`, at least one. Only a single-batch stream has
-/// fewer real computations than `k`, and its missing slots would only
-/// ever hold padding.
-fn rtr_staging(design: &RtrDesign, computations: u64) -> (MemoryBank, BatchBuffers) {
-    let slots = design.k.min(computations).max(1);
-    let bank = MemoryBank::new(slots * design.max_block_words());
-    // cast-ok: slots <= k, a batch width bounded by board memory / block_words
-    (bank, BatchBuffers::new(design, slots as usize))
-}
-
 /// Runs one configuration over every slot of the batch — the host's one
 /// execute path. The slots are walked in chunks of up to
 /// [`MAX_BATCH_LANES`] lanes, and each chunk runs three fissioned passes:
 ///
 /// 1. **Load**: gather each lane's selected input words (from the staged
 ///    primary image when the selector reads only primary words, else from
-///    the history rows), mirror them into the lane's bank block, and
-///    transpose them to the structure-of-arrays rows the kernel consumes.
+///    the history rows) straight into the structure-of-arrays rows the
+///    kernel reads.
 /// 2. **Compute**: one [`BatchKernel`] call covers every lane of the chunk
 ///    — a native lane-parallel kernel, or the per-lane adapter over the
 ///    scalar kernel.
-/// 3. **Store**: scatter the outputs to the history rows and mirror them
-///    into the bank blocks while still cache-hot; on the last
-///    configuration, also gather the design's output words.
+/// 3. **Store**: scatter the outputs to the history rows while still
+///    cache-hot; on the last configuration, also gather the design's
+///    output words.
 ///
-/// Slot blocks are disjoint and per-slot computations independent, so the
-/// chunked order is bit-identical to a slot-at-a-time walk. The chunk size
-/// keeps the whole working set — staged inputs, SoA rows, history rows and
-/// bank blocks — cache-resident across all three passes.
+/// Per-slot computations are independent, so the chunked order is
+/// bit-identical to a slot-at-a-time walk. The chunk size keeps the whole
+/// working set — staged inputs, SoA rows and history rows —
+/// cache-resident across all three passes.
 ///
 /// [`BatchKernel`]: crate::design::BatchKernel
 fn execute_batch(
-    bank: &mut MemoryBank,
     config: &Configuration,
     bufs: &mut BatchBuffers,
     profile: &mut PhaseProfile,
     drain_selector: Option<&[u32]>,
-) -> Result<(), BoardError> {
+) {
     let (iw, ow) = (config.input_selector.len(), config.output_words as usize); // cast-ok: word counts are bounded by board memory, far below usize::MAX
-    let bw = config.block_words as usize; // cast-ok: block_words is bounded by board memory, far below usize::MAX
     let (stride, filled) = (bufs.stride, bufs.filled);
     let BatchBuffers {
         input,
         histories,
-        gathered,
         soa_in,
         soa_out,
         kernel_scratch,
@@ -476,38 +449,19 @@ fn execute_batch(
     while chunk < slots {
         let lanes = MAX_BATCH_LANES.min(slots - chunk);
 
-        // Load: slot-major gather for the bank blit, then the SoA
-        // transpose the batch kernel consumes.
+        // Load: gather straight into the SoA rows the batch kernel reads.
         let t0 = Instant::now();
-        gathered.clear();
-        gathered.resize(lanes * iw, 0);
+        soa_in.clear();
+        soa_in.resize(iw * lanes, 0);
         let (src, src_stride) = if from_primary {
             (&input[chunk * p_iw..(chunk + lanes) * p_iw], p_iw)
         } else {
             (&histories[chunk * stride..(chunk + lanes) * stride], stride)
         };
-        let bank_region =
-            bank.region_mut(chunk as u64 * config.block_words, (lanes * bw) as u64)?; // cast-ok: chunk indexes banked board memory; usize widens losslessly to u64
-        let rows = gathered
-            // A configuration of source tasks reads no words: its gather
-            // is empty, but a chunk size must not be.
-            .chunks_exact_mut(iw.max(1))
-            .zip(bank_region.chunks_exact_mut(bw))
-            .zip(src.chunks_exact(src_stride));
-        for ((dst, block), row) in rows {
-            let mirror = &mut block[..iw];
-            let cells = dst.iter_mut().zip(mirror).zip(&config.input_selector);
-            for ((d, m), &sel) in cells {
-                let v = row[sel as usize]; // cast-ok: u32 selector indices widen losslessly to usize
-                *d = v;
-                *m = v;
-            }
-        }
-        soa_in.clear();
-        soa_in.resize(iw * lanes, 0);
-        for (r, row) in soa_in.chunks_exact_mut(lanes).enumerate() {
-            for (dst, ins) in row.iter_mut().zip(gathered.chunks_exact(iw)) {
-                *dst = ins[r];
+        for (row, &sel) in soa_in.chunks_exact_mut(lanes).zip(&config.input_selector) {
+            let sel = sel as usize; // cast-ok: u32 selector indices widen losslessly to usize
+            for (dst, lane) in row.iter_mut().zip(src.chunks_exact(src_stride)) {
+                *dst = lane[sel];
             }
         }
         profile.load_ns += ns_since(t0);
@@ -519,24 +473,13 @@ fn execute_batch(
         (config.batch_kernel)(lanes, soa_in, soa_out, kernel_scratch);
         profile.compute_ns += ns_since(t1);
 
-        // Store: scatter the SoA outputs to the history rows and
-        // mirror them into the bank while still cache-hot.
+        // Store: scatter the SoA outputs to the history rows.
         let t2 = Instant::now();
         let window = &mut histories[chunk * stride..(chunk + lanes) * stride];
-        let bank_region =
-            bank.region_mut(chunk as u64 * config.block_words, (lanes * bw) as u64)?; // cast-ok: chunk indexes banked board memory; usize widens losslessly to u64
-        for ((l, hist), block) in window
-            .chunks_exact_mut(stride)
-            .enumerate()
-            .zip(bank_region.chunks_exact_mut(bw))
-        {
-            let dst = &mut hist[filled..filled + ow];
-            let mirror = &mut block[iw..iw + ow];
-            let cells = dst.iter_mut().zip(mirror).zip(soa_out.chunks_exact(lanes));
-            for ((d, m), src_row) in cells {
-                let v = src_row[l];
-                *d = v;
-                *m = v;
+        for (l, hist) in window.chunks_exact_mut(stride).enumerate() {
+            let cells = hist[filled..filled + ow].iter_mut();
+            for (dst, src_row) in cells.zip(soa_out.chunks_exact(lanes)) {
+                *dst = src_row[l];
             }
         }
         // This is the last configuration: gather the design's output
@@ -556,7 +499,6 @@ fn execute_batch(
         chunk += lanes;
     }
     bufs.filled += ow;
-    Ok(())
 }
 
 /// The **FDH** (Final Data to Host) driver: for every pulled batch of `k`
@@ -598,7 +540,7 @@ impl Sequencer for FdhSequencer<'_> {
         let (computations, batches) = rtr_shape(arch, design, source)?;
         let k = design.k;
         let dm = u128::from(arch.transfer_ns_per_word);
-        let (mut bank, mut buffers) = rtr_staging(design, computations);
+        let mut buffers = BatchBuffers::new(design, computations);
         let mut profile = PhaseProfile::default();
         let mut report = TimeReport {
             computations,
@@ -621,7 +563,7 @@ impl Sequencer for FdhSequencer<'_> {
                 // "Send Start Signal … Wait for Finish Signal."
                 let drain = (ci + 1 == design.configurations.len())
                     .then_some(design.output_selector.as_slice());
-                execute_batch(&mut bank, config, &mut buffers, &mut profile, drain)?;
+                execute_batch(config, &mut buffers, &mut profile, drain);
                 report.compute_ns += u128::from(k * config.delay_per_computation_ns);
             }
             // "Read block j of output data from memory of Configuration N."
@@ -683,7 +625,7 @@ impl Sequencer for IdhSequencer<'_> {
         let (computations, batches) = rtr_shape(arch, design, source)?;
         let k = design.k;
         let dm = u128::from(arch.transfer_ns_per_word);
-        let (mut bank, mut buffers) = rtr_staging(design, computations);
+        let mut buffers = BatchBuffers::new(design, computations);
         let mut profile = PhaseProfile::default();
         let mut report = TimeReport {
             computations,
@@ -705,7 +647,7 @@ impl Sequencer for IdhSequencer<'_> {
             for (ci, config) in design.configurations.iter().enumerate() {
                 let drain = (ci + 1 == design.configurations.len())
                     .then_some(design.output_selector.as_slice());
-                execute_batch(&mut bank, config, &mut buffers, &mut profile, drain)?;
+                execute_batch(config, &mut buffers, &mut profile, drain);
                 let batch_compute = u128::from(k * config.delay_per_computation_ns);
                 let half_transfer = dm * u128::from(k * config.block_words);
                 // Steady state: while batch b computes on this

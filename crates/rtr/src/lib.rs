@@ -5,11 +5,14 @@
 //! This crate is the simulated substitute: a deterministic,
 //! integer-nanosecond model of
 //!
-//! * the **on-board memory** ([`board::MemoryBank`], bounds-checked word
-//!   storage that survives reconfiguration),
 //! * the **host sequencers** implementing the paper's FDH and IDH loops and
 //!   the static (single-configuration) baseline, which charge `CT` per
 //!   configuration load and `D_m` per host-side word transfer,
+//! * the **on-board memory**, modelled by its budget (a design's `k`
+//!   batched blocks must fit `M_max` words) and by those `D_m` transfer
+//!   charges, not by storing words: the values that stay resident across
+//!   reconfigurations live in each computation's value history
+//!   ([`design`]),
 //!
 //! with the measurement probes the paper describes (*"we measured the
 //! execution times by inserting probes in the software code at points where
@@ -29,13 +32,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod board;
 pub mod design;
 pub mod host;
 pub mod report;
 pub mod stream;
 
-pub use board::{BoardError, MemoryBank};
 pub use design::{BatchKernel, Configuration, Kernel, RtrDesign, StaticDesign, MAX_BATCH_LANES};
 pub use host::{FdhSequencer, HostError, IdhSequencer, PhaseProfile, Sequencer, StaticSequencer};
 pub use report::TimeReport;

@@ -23,7 +23,7 @@
 //!   filenames.
 //!
 //! The wire types and the client live in the facade
-//! ([`sparcs::service`](sparcs::service)) so any `sparcs` user can talk
+//! ([`sparcs::service`]) so any `sparcs` user can talk
 //! to a daemon without depending on this crate.
 
 #![forbid(unsafe_code)]

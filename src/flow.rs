@@ -88,8 +88,8 @@ pub enum FlowError {
     List(ListError),
     /// The loop-fission analysis failed.
     Fission(FissionError),
-    /// A streaming host execution failed (board fault, memory budget,
-    /// input shape — see [`HostError`]).
+    /// A streaming host execution failed (memory budget or input shape —
+    /// see [`HostError`]).
     Host(HostError),
     /// The analyzed design cannot be lifted to an executable streaming
     /// design (no environment inputs/outputs to stream, or a partition

@@ -259,8 +259,9 @@ fn run_reads_stdin_and_streams_stdout() {
 
 /// Host buffers hold the slots a stream fills, not `k` of them: under a
 /// 1 GiB address-space cap, a 10-computation stream runs on a board whose
-/// `k` is 500 million (a `k`-sized simulated bank alone would be 8 GB).
-/// The report is still charged per `k`-slot batch.
+/// `k` is 500 million (value histories for `k` slots, at least one 4-byte
+/// word each, would alone take 2 GB). The report is still charged per
+/// `k`-slot batch.
 #[test]
 fn run_sizes_host_buffers_by_the_stream_not_the_board() {
     let capped_run = |extra: &[&str]| {

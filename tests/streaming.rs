@@ -186,6 +186,9 @@ proptest! {
     /// scalar reference computes: the lane-parallel mixing kernels of
     /// `executable_design` must not drift from `RtrDesign::compute_one`,
     /// under FDH and IDH, across several lane chunks and a ragged tail.
+    /// The power-of-two analysis of the same partitioning lifts a design
+    /// with wider blocks and another `k`; block geometry reaches only the
+    /// memory budget and the report, so it streams the same words.
     #[test]
     fn generated_designs_stream_their_scalar_reference(
         seed in 0u64..1_000,
@@ -193,32 +196,45 @@ proptest! {
         whole in 0u64..2,
         tail in 65u64..200, // past MAX_BATCH_LANES, rarely a multiple of it
     ) {
+        use sparcs::core::fission::BlockRounding;
         use sparcs::dfg::gen::{layered, LayeredConfig};
         use sparcs::strategy::parse_spec;
         let graph = layered(&LayeredConfig { layers, ..LayeredConfig::default() }, seed);
         let session = FlowSession::new(graph, Architecture::xc4044_wildforce());
         let list = parse_spec("list", &Default::default()).expect("list spec parses");
-        let analyzed = session
+        let partitioned = session
             .partition_with(list.as_ref())
-            .and_then(|p| p.analyze())
             .expect("list partitions a layered graph");
-        let design = analyzed.executable_design().expect("layered graphs have I/O");
-        let comps = whole * design.k + tail;
-        let in_w = design.primary_input_words;
-        let inputs = materialize(comps, in_w);
-        let expect: Vec<i32> = inputs
-            .chunks_exact(in_w as usize)
-            .flat_map(|x| design.compute_one(x))
-            .collect();
-        let arch = &analyzed.context().arch;
-        for seq in [
-            &FdhSequencer::new(arch, &design) as &dyn Sequencer,
-            &IdhSequencer::new(arch, &design),
-        ] {
-            let mut sink = VecSink::new();
-            seq.run(&mut SyntheticSource::new(comps, in_w), &mut sink)
-                .expect("generated design streams");
-            prop_assert_eq!(sink.data(), expect.as_slice(), "{}", seq.name());
+        let exact = partitioned.clone().analyze().expect("exact blocks fit the board");
+        let lifted = partitioned
+            .analyze_with(BlockRounding::PowerOfTwo)
+            .expect("power-of-two blocks fit the board");
+        let reference = exact.executable_design().expect("layered graphs have I/O");
+        let in_w = reference.primary_input_words;
+        for analyzed in [&exact, &lifted] {
+            let design = analyzed.executable_design().expect("layered graphs have I/O");
+            let comps = whole * design.k + tail;
+            let inputs = materialize(comps, in_w);
+            let expect: Vec<i32> = inputs
+                .chunks_exact(in_w as usize)
+                .flat_map(|x| reference.compute_one(x))
+                .collect();
+            let arch = &analyzed.context().arch;
+            for seq in [
+                &FdhSequencer::new(arch, &design) as &dyn Sequencer,
+                &IdhSequencer::new(arch, &design),
+            ] {
+                let mut sink = VecSink::new();
+                seq.run(&mut SyntheticSource::new(comps, in_w), &mut sink)
+                    .expect("generated design streams");
+                prop_assert_eq!(
+                    sink.data(),
+                    expect.as_slice(),
+                    "{}, k = {}",
+                    seq.name(),
+                    design.k
+                );
+            }
         }
     }
 }
