@@ -1052,8 +1052,9 @@ pub fn audit_time_report(
 /// term, the objective re-evaluated from the vector, and the dual bound's
 /// side of the objective.
 pub fn audit_solution(model: &Model, sol: &Solution) -> Vec<Diagnostic> {
-    /// Matches `SolveOptions::default().tolerance` — the feasibility slack
-    /// the solver itself promises.
+    /// Matches the branch-and-bound's integrality tolerance (`TOLERANCE`
+    /// in `sparcs_ilp::branch`) — the feasibility slack the solver itself
+    /// promises.
     const TOL: f64 = 1e-6;
     let mut diags = Vec::new();
     if sol.x.len() != model.var_count() {

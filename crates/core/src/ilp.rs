@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 /// Options for [`IlpPartitioner`].
 #[derive(Debug, Clone, Default)]
 pub struct PartitionOptions {
-    /// Model-generation configuration (memory mode, cuts, symmetry, paths).
+    /// Model-generation configuration (memory mode, declared symmetry).
     pub model: ModelConfig,
     /// Branch-and-bound configuration.
     pub solve: SolveOptions,

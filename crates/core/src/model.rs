@@ -22,7 +22,7 @@
 //! * **Objective** (Eq. 8): minimize `Σ d_p` (`N·CT` is constant for fixed
 //!   `N` and added back by the driver).
 //!
-//! Two solver-strength extensions, both optional and on by default:
+//! Two solver-strength extensions beyond the paper's rows:
 //!
 //! * **Symmetry breaking**: interchangeable tasks (identical costs and
 //!   identical predecessor/successor sets) are forced into non-decreasing
@@ -52,33 +52,19 @@ pub enum DelayMode {
     PartitionSum,
 }
 
+/// Maximum number of root→leaf paths enumerated for Eq. 7; a graph with
+/// more paths gets the [`DelayMode::PartitionSum`] rows instead.
+const PATH_BUDGET: usize = 10_000;
+
 /// Configuration of the model generator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ModelConfig {
     /// Edge-based (Eq. 3 literal) or net-based (§4 accounting) memory.
     pub memory_mode: MemoryMode,
-    /// Maximum number of root→leaf paths to enumerate for Eq. 7.
-    pub path_budget: usize,
-    /// Emit symmetry-breaking chains over auto-detected interchangeable
-    /// tasks.
-    pub symmetry_breaking: bool,
-    /// Extra symmetry groups declared by the caller. Members must have
-    /// identical costs and identical predecessor/successor sets (validated).
+    /// Symmetry groups declared by the caller, on top of the auto-detected
+    /// ones. Members must have identical costs and identical
+    /// predecessor/successor sets (validated).
     pub declared_symmetry: Vec<Vec<TaskId>>,
-    /// Emit LP-tightening density cuts.
-    pub density_cuts: bool,
-}
-
-impl Default for ModelConfig {
-    fn default() -> Self {
-        ModelConfig {
-            memory_mode: MemoryMode::Net,
-            path_budget: 10_000,
-            symmetry_breaking: true,
-            declared_symmetry: Vec::new(),
-            density_cuts: true,
-        }
-    }
 }
 
 /// Errors from model generation.
@@ -432,7 +418,7 @@ pub fn build_model(
     }
 
     // --- Eq. 7: delay -------------------------------------------------------
-    let delay_mode = match paths::enumerate_paths(g, cfg.path_budget) {
+    let delay_mode = match paths::enumerate_paths(g, PATH_BUDGET) {
         Ok(all_paths) => {
             for (pi, path) in all_paths.iter().enumerate() {
                 for p in 0..n {
@@ -464,7 +450,7 @@ pub fn build_model(
     };
 
     // --- density cuts -------------------------------------------------------
-    if cfg.density_cuts && arch.resources.clbs > 0 {
+    if arch.resources.clbs > 0 {
         let mut thresholds: Vec<u64> = g.tasks().map(|(_, t)| t.delay_ns).collect();
         thresholds.sort_unstable_by(|a, b| b.cmp(a));
         thresholds.dedup();
@@ -495,24 +481,17 @@ pub fn build_model(
     }
 
     // --- symmetry breaking --------------------------------------------------
-    if cfg.symmetry_breaking || !cfg.declared_symmetry.is_empty() {
-        for class in symmetry_classes(g, cfg) {
-            for pair in class.windows(2) {
-                let (a, b) = (pair[0], pair[1]);
-                for p in 0..n.saturating_sub(1) {
-                    // Σ_{q≤p} y_a,q ≥ Σ_{q≤p} y_b,q
-                    let mut terms = Vec::with_capacity(2 * (p as usize + 1));
-                    for q in 0..=p {
-                        terms.push((y[a.index()][q as usize], 1.0));
-                        terms.push((y[b.index()][q as usize], -1.0));
-                    }
-                    model.add_constraint(
-                        format!("sym_t{}_t{}_p{p}", a.0, b.0),
-                        terms,
-                        Sense::Ge,
-                        0.0,
-                    );
+    for class in symmetry_classes(g, cfg) {
+        for pair in class.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            for p in 0..n.saturating_sub(1) {
+                // Σ_{q≤p} y_a,q ≥ Σ_{q≤p} y_b,q
+                let mut terms = Vec::with_capacity(2 * (p as usize + 1));
+                for q in 0..=p {
+                    terms.push((y[a.index()][q as usize], 1.0));
+                    terms.push((y[b.index()][q as usize], -1.0));
                 }
+                model.add_constraint(format!("sym_t{}_t{}_p{p}", a.0, b.0), terms, Sense::Ge, 0.0);
             }
         }
     }
@@ -531,8 +510,8 @@ pub fn build_model(
 }
 
 /// Computes the symmetry classes used by the model: declared groups plus
-/// (when `cfg.symmetry_breaking`) auto-detected ones. Classes are disjoint;
-/// auto-detection skips tasks already covered by declared groups.
+/// auto-detected ones. Classes are disjoint; auto-detection skips tasks
+/// already covered by declared groups.
 fn symmetry_classes(g: &TaskGraph, cfg: &ModelConfig) -> Vec<Vec<TaskId>> {
     let mut classes: Vec<Vec<TaskId>> = Vec::new();
     let mut covered = vec![false; g.task_count()];
@@ -546,9 +525,6 @@ fn symmetry_classes(g: &TaskGraph, cfg: &ModelConfig) -> Vec<Vec<TaskId>> {
             }
             classes.push(sorted);
         }
-    }
-    if !cfg.symmetry_breaking {
-        return classes;
     }
     // Auto-detection: identical costs and identical pred/succ sets.
     let signature = |t: TaskId| {
@@ -776,13 +752,26 @@ mod tests {
 
     #[test]
     fn partition_sum_fallback_beyond_path_budget() {
-        let g = gen::fig4_example(); // 3 paths
-        let arch = arch_small(1200, 100);
-        let cfg = ModelConfig {
-            path_budget: 2,
-            ..ModelConfig::default()
-        };
-        let pm = build_model(&g, &arch, 2, &cfg).unwrap();
+        // A complete ladder of 15 stages with 2 tasks each: every task
+        // feeds both tasks of the next stage, so there are 2^15 root→leaf
+        // paths, beyond the enumeration budget.
+        let mut g = TaskGraph::new("ladder");
+        let mut prev: Vec<TaskId> = Vec::new();
+        for stage in 0..15 {
+            let this: Vec<TaskId> = (0..2)
+                .map(|i| g.add_task(format!("s{stage}_{i}"), Resources::clbs(100), 10, 1))
+                .collect();
+            for &src in &prev {
+                for &dst in &this {
+                    g.add_edge(src, dst, 1).unwrap();
+                }
+            }
+            prev = this;
+        }
+        assert!(paths::count_paths(&g).unwrap() > PATH_BUDGET as u128);
+        // 3000 CLBs of tasks on a 1600-CLB device: two partitions needed.
+        let arch = arch_small(1600, 100);
+        let pm = build_model(&g, &arch, 2, &ModelConfig::default()).unwrap();
         assert_eq!(pm.delay_mode, DelayMode::PartitionSum);
         // Still solvable; objective becomes the serial-sum bound.
         let sol = solve(&pm.model, &SolveOptions::default(), &|| false).unwrap();
@@ -838,25 +827,16 @@ mod tests {
             }
         }
         let arch = arch_small(1_600, 1_000_000);
-        let n = 3;
-        let with = build_model(&g, &arch, n, &ModelConfig::default()).unwrap();
-        let without = build_model(
-            &g,
-            &arch,
-            n,
-            &ModelConfig {
-                density_cuts: false,
-                ..ModelConfig::default()
-            },
-        )
-        .unwrap();
+        let with = build_model(&g, &arch, 3, &ModelConfig::default()).unwrap();
+        let without = without_density_rows(&with.model);
+        assert!(without.constraint_count() < with.model.constraint_count());
         let bound = |m: &sparcs_ilp::Model| match sparcs_ilp::simplex::solve_lp(m, 200_000).unwrap()
         {
             sparcs_ilp::LpOutcome::Optimal(s) => s.objective,
             other => panic!("{other:?}"),
         };
         let b_with = bound(&with.model);
-        let b_without = bound(&without.model);
+        let b_without = bound(&without);
         assert!(
             b_with > b_without + 1.0,
             "cuts must tighten: {b_with} vs {b_without}"
@@ -865,10 +845,32 @@ mod tests {
         let o_with = solve(&with.model, &SolveOptions::default(), &|| false)
             .unwrap()
             .objective;
-        let o_without = solve(&without.model, &SolveOptions::default(), &|| false)
+        let o_without = solve(&without, &SolveOptions::default(), &|| false)
             .unwrap()
             .objective;
         assert!((o_with - o_without).abs() < 1e-6);
+    }
+
+    /// A copy of `m` without its `density_*` rows.
+    fn without_density_rows(m: &sparcs_ilp::Model) -> sparcs_ilp::Model {
+        use sparcs_ilp::VarKind;
+        let mut out = sparcs_ilp::Model::new(m.name());
+        for i in 0..m.var_count() {
+            let v = Var(i as u32);
+            let (lo, hi) = m.var_bounds(v);
+            match m.var_kind(v) {
+                VarKind::Binary => out.add_binary(m.var_name(v)),
+                VarKind::Integer => out.add_integer(m.var_name(v), lo, hi),
+                VarKind::Continuous => out.add_continuous(m.var_name(v), lo, hi),
+            };
+        }
+        for c in m.constraints() {
+            if !c.name.starts_with("density_") {
+                out.add_constraint(c.name.clone(), c.expr.terms.clone(), c.sense, c.rhs);
+            }
+        }
+        out.set_objective_min(m.objective().expr().terms.clone());
+        out
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * [`kl_refine`] — a Kernighan–Lin-style steepest-descent pass over
 //!   single-task *moves* and pairwise *swaps*; deterministic, monotone.
 //! * [`anneal_refine`] — seeded simulated annealing over the same move
-//!   neighbourhood with a geometric temperature schedule
-//!   ([`AnnealSchedule`]); deterministic for a fixed seed, and never worse
-//!   than its input because the best-ever design is returned.
+//!   neighbourhood with a fixed geometric temperature schedule;
+//!   deterministic, and never worse than its input because the best-ever
+//!   design is returned.
 //!
 //! Both passes are *cooperative*: they poll the [`SearchCtx`] between
 //! rounds (and inside long scans) and return the best design found so far
@@ -47,10 +47,14 @@ fn evaluate(
     Some((cost, p))
 }
 
+/// Steepest-descent rounds of [`kl_refine`] (each applies the single best
+/// improving move or swap).
+const KL_MAX_ROUNDS: usize = 64;
+
 /// Kernighan–Lin-style refinement: repeatedly applies the single best
 /// strictly improving feasible change — moving one task to another
 /// partition, or swapping two tasks across partitions — until no change
-/// improves the latency, `max_rounds` rounds ran, or the search was
+/// improves the latency, `KL_MAX_ROUNDS` rounds ran, or the search was
 /// stopped. The scan order (tasks ascending, targets ascending, swap pairs
 /// lexicographic) and the strict-improvement rule make the result
 /// deterministic, and the returned partitioning never has higher latency
@@ -64,7 +68,6 @@ pub fn kl_refine(
     arch: &Architecture,
     mode: MemoryMode,
     seed: &Partitioning,
-    max_rounds: usize,
     search: &SearchCtx,
 ) -> Result<Partitioning, GraphError> {
     let n = seed.partition_count();
@@ -85,7 +88,7 @@ pub fn kl_refine(
         evals += 1;
         evals.is_multiple_of(64) && search.stop_requested()
     };
-    'rounds: for _round in 0..max_rounds {
+    'rounds: for _round in 0..KL_MAX_ROUNDS {
         if search.stop_requested() {
             break;
         }
@@ -161,8 +164,9 @@ fn gain_key(
 /// (Fiduccia–Mattheyses-style) pass that fixes the single-move early
 /// exit of [`kl_refine`]: a chain of tentative moves is explored even
 /// when individual moves have zero or negative gain, and the best
-/// *prefix* of the chain is committed. Every field influences the result
-/// and is rendered into strategy cache keys.
+/// *prefix* of the chain is committed. The default is the full search the
+/// `kl` and `fm` strategy passes run; the multilevel pipeline narrows it
+/// on large graphs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GainConfig {
     /// Maximum commit passes (each explores one tentative chain).
@@ -326,39 +330,23 @@ pub fn kl_refine_gains(
     Ok(Partitioning::new(best))
 }
 
-/// The temperature schedule (and RNG seed) of [`anneal_refine`]. Rendered
-/// into strategy cache keys, so every field that influences the result is
-/// here and the run is a pure function of `(problem, schedule)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnnealSchedule {
-    /// Seed of the deterministic `StdRng` driving proposals/acceptance.
-    pub seed: u64,
-    /// Proposal iterations.
-    pub iterations: u32,
-    /// Initial temperature as a *fraction of the seed design's latency* —
-    /// an absolute temperature in ns would not transfer across problems.
-    pub initial_temp: f64,
-    /// Geometric cooling factor applied per iteration.
-    pub cooling: f64,
-}
-
-impl Default for AnnealSchedule {
-    fn default() -> Self {
-        AnnealSchedule {
-            seed: 0x5bac5,
-            iterations: 3_000,
-            initial_temp: 0.05,
-            cooling: 0.998,
-        }
-    }
-}
+/// Seed of the deterministic `StdRng` driving [`anneal_refine`]'s
+/// proposals and acceptance.
+const ANNEAL_SEED: u64 = 0x5bac5;
+/// Proposal iterations of [`anneal_refine`].
+const ANNEAL_ITERATIONS: u32 = 3_000;
+/// Initial temperature as a *fraction of the seed design's latency* — an
+/// absolute temperature in ns would not transfer across problems.
+const ANNEAL_INITIAL_TEMP: f64 = 0.05;
+/// Geometric cooling factor applied per iteration.
+const ANNEAL_COOLING: f64 = 0.998;
 
 /// Simulated-annealing refinement over the same move/swap neighbourhood as
 /// [`kl_refine`]: proposals are drawn from a seeded [`StdRng`], worsening
-/// feasible moves are accepted with probability `exp(-Δ/T)` under the
-/// geometric [`AnnealSchedule`], and the best feasible design ever visited
-/// is returned — so the result is deterministic for a fixed schedule and
-/// never has higher latency than the seed.
+/// feasible moves are accepted with probability `exp(-Δ/T)` under a fixed
+/// geometric cooling schedule, and the best feasible design ever visited
+/// is returned — so the result is deterministic and never has higher
+/// latency than the seed.
 ///
 /// # Errors
 ///
@@ -368,7 +356,6 @@ pub fn anneal_refine(
     arch: &Architecture,
     mode: MemoryMode,
     seed: &Partitioning,
-    schedule: &AnnealSchedule,
     search: &SearchCtx,
 ) -> Result<Partitioning, GraphError> {
     let n = seed.partition_count();
@@ -377,13 +364,13 @@ pub fn anneal_refine(
         return Ok(seed.clone());
     }
     let seed_cost = total_latency_ns(g, seed, arch.reconfig_time_ns)?;
-    let mut rng = StdRng::seed_from_u64(schedule.seed);
+    let mut rng = StdRng::seed_from_u64(ANNEAL_SEED);
     let mut current = seed.assignment().to_vec();
     let mut current_cost = seed_cost;
     let mut best = seed.clone();
     let mut best_cost = seed_cost;
-    let mut temp = schedule.initial_temp * seed_cost as f64;
-    for i in 0..schedule.iterations {
+    let mut temp = ANNEAL_INITIAL_TEMP * seed_cost as f64;
+    for i in 0..ANNEAL_ITERATIONS {
         // Poll coarsely: one proposal costs microseconds, the check is an
         // atomic load plus (rarely) a clock read.
         if i.is_multiple_of(64) && search.stop_requested() {
@@ -398,7 +385,7 @@ pub fn anneal_refine(
             let u = rng.gen_range(0..tasks);
             candidate.swap(t, u);
         }
-        temp *= schedule.cooling;
+        temp *= ANNEAL_COOLING;
         if candidate == current {
             continue;
         }
@@ -457,8 +444,7 @@ mod tests {
         let seed = partition_list(&g, &a).unwrap();
         // Greedy packs {h, t} (1200 CLBs) and exiles u: Σd = 700 + 600.
         assert_eq!(latency(&g, &seed, &a), 2 * a.reconfig_time_ns + 1300);
-        let refined =
-            kl_refine(&g, &a, MemoryMode::Net, &seed, 32, &SearchCtx::unbounded()).unwrap();
+        let refined = kl_refine(&g, &a, MemoryMode::Net, &seed, &SearchCtx::unbounded()).unwrap();
         assert!(refined.validate(&g, &a, MemoryMode::Net).is_empty());
         // The t/u swap reaches the optimum: max(500, 600) + 200.
         assert_eq!(latency(&g, &refined, &a), 2 * a.reconfig_time_ns + 800);
@@ -469,8 +455,7 @@ mod tests {
         let g = gen::fig4_example();
         let a = device(1200);
         let seed = partition_list(&g, &a).unwrap();
-        let refined =
-            kl_refine(&g, &a, MemoryMode::Net, &seed, 32, &SearchCtx::unbounded()).unwrap();
+        let refined = kl_refine(&g, &a, MemoryMode::Net, &seed, &SearchCtx::unbounded()).unwrap();
         assert!(refined.validate(&g, &a, MemoryMode::Net).is_empty());
         assert!(latency(&g, &refined, &a) <= latency(&g, &seed, &a));
     }
@@ -480,25 +465,8 @@ mod tests {
         let g = gen::fig4_example();
         let a = device(1200);
         let seed = partition_list(&g, &a).unwrap();
-        let sched = AnnealSchedule::default();
-        let once = anneal_refine(
-            &g,
-            &a,
-            MemoryMode::Net,
-            &seed,
-            &sched,
-            &SearchCtx::unbounded(),
-        )
-        .unwrap();
-        let twice = anneal_refine(
-            &g,
-            &a,
-            MemoryMode::Net,
-            &seed,
-            &sched,
-            &SearchCtx::unbounded(),
-        )
-        .unwrap();
+        let once = anneal_refine(&g, &a, MemoryMode::Net, &seed, &SearchCtx::unbounded()).unwrap();
+        let twice = anneal_refine(&g, &a, MemoryMode::Net, &seed, &SearchCtx::unbounded()).unwrap();
         assert_eq!(once.assignment(), twice.assignment(), "seeded = repeatable");
         assert!(once.validate(&g, &a, MemoryMode::Net).is_empty());
         assert!(latency(&g, &once, &a) <= latency(&g, &seed, &a));
@@ -513,17 +481,9 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let ctx = SearchCtx::unbounded().and_cancel(token);
-        let kl = kl_refine(&g, &a, MemoryMode::Net, &seed, 32, &ctx).unwrap();
+        let kl = kl_refine(&g, &a, MemoryMode::Net, &seed, &ctx).unwrap();
         assert_eq!(kl.assignment(), seed.assignment());
-        let sa = anneal_refine(
-            &g,
-            &a,
-            MemoryMode::Net,
-            &seed,
-            &AnnealSchedule::default(),
-            &ctx,
-        )
-        .unwrap();
+        let sa = anneal_refine(&g, &a, MemoryMode::Net, &seed, &ctx).unwrap();
         assert_eq!(sa.assignment(), seed.assignment());
     }
 
@@ -553,8 +513,7 @@ mod tests {
     #[test]
     fn legacy_kl_stalls_on_the_zero_gain_plateau() {
         let (g, a, seed) = plateau_trap();
-        let refined =
-            kl_refine(&g, &a, MemoryMode::Net, &seed, 32, &SearchCtx::unbounded()).unwrap();
+        let refined = kl_refine(&g, &a, MemoryMode::Net, &seed, &SearchCtx::unbounded()).unwrap();
         // The executable reference for the old behavior: no strictly
         // improving single change exists, so the pass ends at the seed.
         assert_eq!(refined.assignment(), seed.assignment());
@@ -671,8 +630,7 @@ mod tests {
         let a = device(2000);
         let seed = partition_list(&g, &a).unwrap();
         assert_eq!(seed.partition_count(), 1);
-        let refined =
-            kl_refine(&g, &a, MemoryMode::Net, &seed, 8, &SearchCtx::unbounded()).unwrap();
+        let refined = kl_refine(&g, &a, MemoryMode::Net, &seed, &SearchCtx::unbounded()).unwrap();
         assert_eq!(refined.assignment(), seed.assignment());
     }
 }

@@ -1,7 +1,7 @@
 //! DAG algorithms over [`TaskGraph`]: levels and critical paths.
 //!
 //! These are the analyses the temporal partitioner and the list-based baseline
-//! need: ASAP/ALAP levels drive list ordering, and delay-weighted longest
+//! need: ASAP levels order coarsening rounds, and delay-weighted longest
 //! paths give both the critical path (a latency lower bound) and the
 //! per-partition delay measure of the paper's Figure 4. No transitive-closure
 //! matrix is kept: `sparcs_analyze` takes its precedence-closure sums one
@@ -14,30 +14,11 @@ use crate::graph::{GraphError, TaskGraph, TaskId};
 pub struct Levels {
     /// ASAP level: longest edge-count distance from any root (roots are 0).
     pub asap: Vec<u32>,
-    /// ALAP level: `depth - 1 - (longest distance to any leaf)`.
-    pub alap: Vec<u32>,
     /// Number of distinct ASAP levels (`max(asap) + 1`), 0 for empty graphs.
     pub depth: u32,
 }
 
-impl Levels {
-    /// Tasks whose ASAP level equals `level`, in ascending id order.
-    pub fn tasks_at(&self, level: u32) -> Vec<TaskId> {
-        self.asap
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l == level)
-            .map(|(i, _)| TaskId(i as u32))
-            .collect()
-    }
-
-    /// Scheduling slack (`alap - asap`) of a task.
-    pub fn slack(&self, t: TaskId) -> u32 {
-        self.alap[t.index()] - self.asap[t.index()]
-    }
-}
-
-/// Computes ASAP/ALAP levels for every task.
+/// Computes ASAP levels for every task.
 ///
 /// # Errors
 ///
@@ -56,18 +37,7 @@ pub fn levels(g: &TaskGraph) -> Result<Levels, GraphError> {
     } else {
         asap.iter().copied().max().unwrap_or(0) + 1
     };
-    // Longest distance to a leaf, then mirror.
-    let mut to_leaf = vec![0u32; n];
-    for &t in order.iter().rev() {
-        for s in g.successors(t) {
-            to_leaf[t.index()] = to_leaf[t.index()].max(to_leaf[s.index()] + 1);
-        }
-    }
-    let alap = to_leaf
-        .iter()
-        .map(|&d| depth.saturating_sub(1) - d)
-        .collect();
-    Ok(Levels { asap, alap, depth })
+    Ok(Levels { asap, depth })
 }
 
 /// Result of a delay-weighted longest-path computation.
@@ -172,28 +142,7 @@ mod tests {
         g.add_edge(c, d, 1).unwrap();
         let lv = levels(&g).unwrap();
         assert_eq!(lv.asap, vec![0, 1, 1, 2]);
-        assert_eq!(lv.alap, vec![0, 1, 1, 2]);
         assert_eq!(lv.depth, 3);
-        assert_eq!(lv.slack(b), 0);
-        assert_eq!(lv.tasks_at(1), vec![b, c]);
-    }
-
-    #[test]
-    fn alap_gives_slack_to_short_branches() {
-        let mut g = TaskGraph::new("g");
-        let a = g.add_task("a", Resources::ZERO, 1, 1);
-        let b = g.add_task("b", Resources::ZERO, 1, 1);
-        let c = g.add_task("c", Resources::ZERO, 1, 1);
-        let d = g.add_task("d", Resources::ZERO, 1, 1);
-        // a -> b -> d and c -> d: c can float to level 1.
-        g.add_edge(a, b, 1).unwrap();
-        g.add_edge(b, d, 1).unwrap();
-        g.add_edge(c, d, 1).unwrap();
-        let lv = levels(&g).unwrap();
-        assert_eq!(lv.asap[c.index()], 0);
-        assert_eq!(lv.alap[c.index()], 1);
-        assert_eq!(lv.slack(c), 1);
-        assert_eq!(lv.slack(a), 0);
     }
 
     #[test]

@@ -75,26 +75,55 @@ pub fn layered(cfg: &LayeredConfig, seed: u64) -> TaskGraph {
             );
             this_layer.push(t);
         }
-        if !prev_layer.is_empty() {
-            for &dst in &this_layer {
-                let mut connected = false;
-                for &src in &prev_layer {
-                    if rng.gen_bool(cfg.edge_prob) {
-                        let w = rng.gen_range(cfg.words.0..=cfg.words.1);
-                        g.add_edge(src, dst, w).expect("layered edges are acyclic");
-                        connected = true;
-                    }
-                }
-                if !connected {
-                    let src = prev_layer[rng.gen_range(0..prev_layer.len())];
-                    let w = rng.gen_range(cfg.words.0..=cfg.words.1);
-                    g.add_edge(src, dst, w).expect("layered edges are acyclic");
-                }
-            }
-        }
+        connect_layer(
+            &mut g,
+            &mut rng,
+            &prev_layer,
+            &this_layer,
+            cfg.edge_prob,
+            cfg.words,
+        );
         prev_layer = this_layer;
     }
-    // Environment I/O on roots and leaves (the Figure-3 shape).
+    add_env_io(&mut g);
+    g
+}
+
+/// Links `this` layer to the `prev` one: an edge from each `prev` task
+/// with probability `edge_prob`, and one from a random `prev` task when
+/// none was drawn, so every non-first-layer task has a predecessor. Edge
+/// words are drawn from the inclusive range `words`.
+fn connect_layer(
+    g: &mut TaskGraph,
+    rng: &mut StdRng,
+    prev: &[TaskId],
+    this: &[TaskId],
+    edge_prob: f64,
+    words: (u64, u64),
+) {
+    if prev.is_empty() {
+        return;
+    }
+    for &dst in this {
+        let mut connected = false;
+        for &src in prev {
+            if rng.gen_bool(edge_prob) {
+                let w = rng.gen_range(words.0..=words.1);
+                g.add_edge(src, dst, w).expect("layered edges are acyclic");
+                connected = true;
+            }
+        }
+        if !connected {
+            let src = prev[rng.gen_range(0..prev.len())];
+            let w = rng.gen_range(words.0..=words.1);
+            g.add_edge(src, dst, w).expect("layered edges are acyclic");
+        }
+    }
+}
+
+/// Environment I/O on roots and leaves (the Figure-3 shape): one input
+/// per root and one output per leaf, each as wide as the task's output.
+fn add_env_io(g: &mut TaskGraph) {
     let roots = g.roots();
     let leaves = g.leaves();
     for (i, &r) in roots.iter().enumerate() {
@@ -107,7 +136,6 @@ pub fn layered(cfg: &LayeredConfig, seed: u64) -> TaskGraph {
         g.add_env_output(format!("out{i}"), words, [l])
             .expect("leaves are valid tasks");
     }
-    g
 }
 
 /// Parameters for [`scaled`]: layered generation with an *exact* task
@@ -225,39 +253,19 @@ pub fn scaled(cfg: &ScaledConfig, seed: u64) -> TaskGraph {
             );
             this_layer.push(t);
         }
-        if !prev_layer.is_empty() {
-            for &dst in &this_layer {
-                let mut connected = false;
-                for &src in &prev_layer {
-                    if rng.gen_bool(cfg.edge_prob) {
-                        let w = rng.gen_range(cfg.words.0..=cfg.words.1);
-                        g.add_edge(src, dst, w).expect("layered edges are acyclic");
-                        connected = true;
-                    }
-                }
-                if !connected {
-                    let src = prev_layer[rng.gen_range(0..prev_layer.len())];
-                    let w = rng.gen_range(cfg.words.0..=cfg.words.1);
-                    g.add_edge(src, dst, w).expect("layered edges are acyclic");
-                }
-            }
-        }
+        connect_layer(
+            &mut g,
+            &mut rng,
+            &prev_layer,
+            &this_layer,
+            cfg.edge_prob,
+            cfg.words,
+        );
         remaining -= width;
         prev_layer = this_layer;
         layer += 1;
     }
-    let roots = g.roots();
-    let leaves = g.leaves();
-    for (i, &r) in roots.iter().enumerate() {
-        let words = g.task(r).output_words.max(1);
-        g.add_env_input(format!("in{i}"), words, [r])
-            .expect("roots are valid tasks");
-    }
-    for (i, &l) in leaves.iter().enumerate() {
-        let words = g.task(l).output_words.max(1);
-        g.add_env_output(format!("out{i}"), words, [l])
-            .expect("leaves are valid tasks");
-    }
+    add_env_io(&mut g);
     g
 }
 
@@ -404,6 +412,34 @@ mod tests {
         let g = scaled(&ScaledConfig::preset(64), 11);
         assert_eq!(g.env_inputs().count(), g.roots().len());
         assert_eq!(g.env_outputs().count(), g.leaves().len());
+    }
+
+    fn fnv64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn generated_texts_are_pinned() {
+        // FNV-1a digests of the `.tg` text: any change to a generator's
+        // draws, or to their order, moves them.
+        let layered_pins = [
+            (0, 0x4316_7cd5_4f3b_9469),
+            (2, 0x5563_52fb_8671_c7a8),
+            (5, 0x5e5e_395a_0bb4_fdbf),
+            (7, 0x36c7_871b_590b_b53d),
+        ];
+        for (seed, pin) in layered_pins {
+            let text = crate::parse::to_text(&layered(&LayeredConfig::default(), seed));
+            assert_eq!(fnv64(text.as_bytes()), pin, "layered seed {seed}");
+        }
+        let text = crate::parse::to_text(&scaled(&ScaledConfig::preset(300), 3));
+        assert_eq!(
+            fnv64(text.as_bytes()),
+            0x6a72_0b99_5b36_8641,
+            "scaled-300 seed 3"
+        );
     }
 
     #[test]

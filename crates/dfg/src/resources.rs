@@ -89,16 +89,6 @@ impl Resources {
         }
     }
 
-    /// Component-wise maximum.
-    pub fn component_max(&self, other: &Resources) -> Resources {
-        Resources {
-            clbs: self.clbs.max(other.clbs),
-            flip_flops: self.flip_flops.max(other.flip_flops),
-            mult_blocks: self.mult_blocks.max(other.mult_blocks),
-            bram_words: self.bram_words.max(other.bram_words),
-        }
-    }
-
     /// The ceiling of the component-wise ratio `self / capacity`, i.e. the
     /// minimum number of capacity-sized bins needed if the cost were perfectly
     /// divisible. This is the paper's *preprocessing step* lower bound on the
@@ -257,12 +247,5 @@ mod tests {
     fn display_hides_zero_components() {
         assert_eq!(Resources::clbs(1600).to_string(), "1600 CLBs");
         assert_eq!(Resources::new(10, 0, 2, 0).to_string(), "10 CLBs, 2 MULTs");
-    }
-
-    #[test]
-    fn component_max_takes_larger_of_each() {
-        let a = Resources::new(1, 9, 3, 0);
-        let b = Resources::new(4, 2, 3, 7);
-        assert_eq!(a.component_max(&b), Resources::new(4, 9, 3, 7));
     }
 }

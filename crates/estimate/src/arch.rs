@@ -80,16 +80,6 @@ impl Architecture {
         }
     }
 
-    /// Returns a copy with a different reconfiguration time (used by the
-    /// break-even sweeps).
-    pub fn with_reconfig_time_ns(&self, ct: u64) -> Self {
-        Architecture {
-            reconfig_time_ns: ct,
-            name: format!("{} (CT={ct} ns)", self.name),
-            ..self.clone()
-        }
-    }
-
     /// Returns a copy with a different memory size (used by the memory
     /// ablation sweeps).
     pub fn with_memory_words(&self, words: u64) -> Self {
@@ -130,15 +120,6 @@ mod tests {
         let x = Architecture::xc6200_fast_reconfig();
         assert_eq!(x.reconfig_time_ns, 500_000);
         assert_eq!(x.resources, b.resources);
-    }
-
-    #[test]
-    fn with_reconfig_time_keeps_everything_else() {
-        let b = Architecture::xc4044_wildforce();
-        let c = b.with_reconfig_time_ns(42);
-        assert_eq!(c.reconfig_time_ns, 42);
-        assert_eq!(c.memory_words, b.memory_words);
-        assert_eq!(c.resources, b.resources);
     }
 
     #[test]

@@ -31,16 +31,18 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use std::rc::Rc;
 
+/// Simplex pivot budget per node relaxation.
+const MAX_SIMPLEX_ITERS: usize = 200_000;
+
+/// Integrality tolerance.
+const TOLERANCE: f64 = 1e-6;
+
 /// Options controlling the branch-and-bound search.
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
     /// Maximum number of explored nodes (LP re-optimizations) before
     /// giving up.
     pub max_nodes: usize,
-    /// Simplex pivot budget per node relaxation.
-    pub max_simplex_iters: usize,
-    /// Integrality tolerance.
-    pub tolerance: f64,
     /// Known-feasible assignment used as the initial incumbent (checked
     /// against the model; an invalid warm start is an error).
     pub warm_incumbent: Option<Vec<f64>>,
@@ -63,8 +65,6 @@ impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
             max_nodes: 1_000_000,
-            max_simplex_iters: 200_000,
-            tolerance: 1e-6,
             warm_incumbent: None,
             root_bound: None,
         }
@@ -281,7 +281,7 @@ impl Search<'_> {
             } else {
                 o
             };
-            omin <= rk + self.opts.tolerance
+            omin <= rk + TOLERANCE
         })
     }
 
@@ -328,18 +328,16 @@ impl Search<'_> {
     /// Solves `node` and dives: branch, re-optimize the nearer child in
     /// place, push the sibling.
     fn process_subtree(&mut self, node: Node) -> Result<(), Halt> {
-        let tol = self.opts.tolerance;
-        let budget = self.opts.max_simplex_iters;
         // Bound-prune at pop time: the incumbent may have improved since push.
-        if node.bound >= self.incumbent_key() - tol {
+        if node.bound >= self.incumbent_key() - TOLERANCE {
             return Ok(());
         }
         self.claim_node()?;
         self.load_bounds(&node.chain);
         let stop = self.stop;
         let mut outcome = match &node.basis {
-            Some(snap) => self.ws.warm_solve(snap, budget, stop),
-            None => self.ws.solve_root(budget, stop),
+            Some(snap) => self.ws.warm_solve(snap, MAX_SIMPLEX_ITERS, stop),
+            None => self.ws.solve_root(MAX_SIMPLEX_ITERS, stop),
         };
         let mut chain = node.chain;
 
@@ -353,7 +351,7 @@ impl Search<'_> {
                 // nodes.
                 Err(LpError::Stopped) => return Err(Halt::Stopped),
                 Err(LpError::IterationLimit(_)) => {
-                    return Err(Halt::Failed(SolveError::SimplexLimit(budget)))
+                    return Err(Halt::Failed(SolveError::SimplexLimit(MAX_SIMPLEX_ITERS)))
                 }
                 Err(LpError::Numerical { constraint }) => {
                     return Err(Halt::Failed(SolveError::Numerical(constraint)))
@@ -361,14 +359,14 @@ impl Search<'_> {
             }
             let obj = self.ws.objective_internal();
             let inc = self.incumbent_key();
-            if obj >= inc - tol {
+            if obj >= inc - TOLERANCE {
                 return Ok(()); // pruned by bound
             }
             let x = self.ws.extract_x();
 
             // Most fractional integer variable.
             let mut branch_var: Option<(usize, f64)> = None;
-            let mut best_frac = tol;
+            let mut best_frac = TOLERANCE;
             for &i in &self.int_vars {
                 let v = x[i];
                 let frac = (v - v.round()).abs();
@@ -385,7 +383,7 @@ impl Search<'_> {
             // exceeds the gap can never flip in this subtree.
             let mut fixes: Vec<(u32, f64, f64)> = Vec::new();
             if inc.is_finite() {
-                let gap = inc - tol - obj;
+                let gap = inc - TOLERANCE - obj;
                 for &i in &self.int_vars {
                     if i == bv {
                         continue;
@@ -439,7 +437,7 @@ impl Search<'_> {
                 changes: dive_changes,
             }));
             self.claim_node()?;
-            outcome = self.ws.reoptimize(budget, stop);
+            outcome = self.ws.reoptimize(MAX_SIMPLEX_ITERS, stop);
         }
     }
 
@@ -447,18 +445,17 @@ impl Search<'_> {
     /// (the warm path skips the per-solve check) and offers it as the
     /// incumbent.
     fn offer_integral(&mut self, mut x: Vec<f64>) -> Result<(), Halt> {
-        let tol = self.opts.tolerance;
         round_ints(&mut x, &self.int_vars);
         for c in self.model.constraints() {
             // Rounding each near-integral variable moves the row by up to
-            // Σ|coef|·tol on top of the LP feasibility slack; only a
+            // Σ|coef|·TOLERANCE on top of the LP feasibility slack; only a
             // violation beyond both is numerical corruption.
             let (mut maxc, mut sumc) = (1.0f64, 0.0f64);
             for &(_, coef) in &c.expr.terms {
                 maxc = maxc.max(coef.abs());
                 sumc += coef.abs();
             }
-            if !c.satisfied_by(&x, 1e-5 * maxc + tol * sumc) {
+            if !c.satisfied_by(&x, 1e-5 * maxc + TOLERANCE * sumc) {
                 return Err(Halt::Failed(SolveError::Numerical(c.name.clone())));
             }
         }
@@ -470,7 +467,7 @@ impl Search<'_> {
         let improves = self
             .incumbent
             .as_ref()
-            .is_none_or(|(cur, _)| key < cur - tol);
+            .is_none_or(|(cur, _)| key < cur - TOLERANCE);
         if improves {
             let optimal = self.meets_root_bound(&x);
             self.incumbent = Some((key, x));
@@ -490,7 +487,7 @@ impl Search<'_> {
 /// Optimality is proven against an internally perturbed objective (the
 /// anti-degeneracy device of [`crate::simplex`]); the returned solution is
 /// therefore optimal for the original objective to within
-/// `tolerance + 2e-7·n` in the worst case — exactly optimal whenever
+/// `1e-6 + 2e-7·n` in the worst case — exactly optimal whenever
 /// distinct feasible objective values are farther apart than that, which
 /// holds for any integral-data model (and for the nanosecond-granular
 /// partitioning models by a factor of ~10⁷). The reported `objective` is
@@ -528,7 +525,7 @@ pub fn solve(
 
     let mut incumbent = None;
     if let Some(warm) = &opts.warm_incumbent {
-        let viol = model.violations(warm, opts.tolerance.max(1e-6));
+        let viol = model.violations(warm, TOLERANCE);
         if !viol.is_empty() {
             return Err(SolveError::BadWarmStart(viol));
         }

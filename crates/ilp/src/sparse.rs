@@ -69,11 +69,6 @@ impl SparseMat {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.col_ptr.len() - 1
-    }
-
     /// Total stored nonzeros.
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -134,7 +129,6 @@ mod tests {
             ],
         );
         assert_eq!(m.rows(), 3);
-        assert_eq!(m.cols(), 3);
         assert_eq!(m.nnz(), 3, "zeros dropped, duplicates merged");
         assert_eq!(m.col(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, -2.0)]);
         assert_eq!(m.col(1).count(), 0);

@@ -42,6 +42,16 @@ use sparcs_estimate::Architecture;
 pub use coarsen::{coarsen, CoarsenConfig, Tower};
 use sparcs_core::partitioning::Violation;
 
+/// Use the exact ILP at the coarsest level only while
+/// `tasks × (min_bins + 2)` stays within this variable budget; beyond it
+/// the memory-aware list heuristic seeds the tower.
+const EXACT_VAR_LIMIT: usize = 160;
+
+/// Above this task count a level's refinement caps its scans and restricts
+/// moves to adjacent slots, keeping per-level cost near-linear on 10k-node
+/// graphs, and the guard's flat candidates go unpolished.
+const WIDE_GRAPH_TASKS: usize = 512;
+
 /// Configuration of [`partition_multilevel`]. Every field influences the
 /// result, so strategy layers render the whole struct into cache keys.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,16 +64,6 @@ pub struct MultilevelConfig {
     pub max_levels: usize,
     /// Abandon coarsening when a round shrinks less than this ‰.
     pub min_shrink_per_mille: u32,
-    /// Use the exact ILP at the coarsest level only while
-    /// `tasks × (min_bins + 2)` stays within this variable budget;
-    /// beyond it the memory-aware list heuristic seeds the tower.
-    pub exact_var_limit: usize,
-    /// Gain-sequence refinement knobs applied at every uncoarsening level.
-    pub refine: GainConfig,
-    /// Above this task count a level's refinement caps its scans
-    /// (`max_scan = 4 × tasks`) and restricts moves to adjacent slots,
-    /// keeping per-level cost near-linear on 10k-node graphs.
-    pub wide_graph_tasks: usize,
     /// Boundary-memory accounting mode for every feasibility check.
     pub memory_mode: MemoryMode,
 }
@@ -75,9 +75,6 @@ impl Default for MultilevelConfig {
             coarsest_tasks: 48,
             max_levels: 24,
             min_shrink_per_mille: 20,
-            exact_var_limit: 160,
-            refine: GainConfig::default(),
-            wide_graph_tasks: 512,
             memory_mode: MemoryMode::Net,
         }
     }
@@ -236,7 +233,7 @@ pub fn partition_multilevel(
     // so an exact coarsest solve carries its optimality proof to the output
     // (nothing is projected or refined afterwards).
     let mut exact_on_original = false;
-    let (mut assignment, initial) = if vars <= cfg.exact_var_limit && !search.stop_requested() {
+    let (mut assignment, initial) = if vars <= EXACT_VAR_LIMIT && !search.stop_requested() {
         let mut opts = ilp_opts.clone();
         // A deterministic budget (unlike a wall-clock deadline it cannot
         // make results machine-dependent): past it the solver hands back
@@ -368,13 +365,13 @@ fn polish(
     seed: &Partitioning,
     search: &SearchCtx,
 ) -> Result<Partitioning, GraphError> {
-    if g.task_count() > cfg.wide_graph_tasks {
+    if g.task_count() > WIDE_GRAPH_TASKS {
         // On wide graphs the flat candidates are rank-only backstops:
         // refining each would cost as much as the whole v-cycle.
         return Ok(seed.clone());
     }
     let descended = if g.task_count() <= EXHAUSTIVE_TASKS {
-        kl_refine(g, arch, cfg.memory_mode, seed, 64, search)?
+        kl_refine(g, arch, cfg.memory_mode, seed, search)?
     } else {
         seed.clone()
     };
@@ -390,35 +387,32 @@ fn refine_level(
     search: &SearchCtx,
 ) -> Result<Partitioning, GraphError> {
     let tasks = g.task_count();
-    let mut gain = cfg.refine.clone();
-    if tasks > cfg.wide_graph_tasks {
+    let gain = if tasks > WIDE_GRAPH_TASKS {
         // Every gain evaluation costs O(V + E) — milliseconds at 10k
         // tasks — so a wide level bounds evaluations per step, chain
         // length and pass count hard: most of the quality was already
         // won on the cheap coarse levels, the wide levels only polish
         // the boundary.
-        gain.max_scan = if gain.max_scan == 0 {
-            256
-        } else {
-            gain.max_scan.min(256)
-        };
-        gain.max_chain = gain.max_chain.min(8);
-        gain.passes = gain.passes.min(2);
-        gain.adjacent_only = true;
+        GainConfig {
+            passes: 2,
+            max_chain: 8,
+            max_scan: 256,
+            adjacent_only: true,
+        }
     } else if tasks > EXHAUSTIVE_TASKS {
         // Mid-tower levels still face `tasks × partitions` candidate
         // moves per chain step; capped adjacent-only scanning keeps a
         // pass linear in the boundary while the coarsest levels
         // (≤ 96 tasks) retain the full exhaustive scan.
-        gain.max_scan = if gain.max_scan == 0 {
-            512
-        } else {
-            gain.max_scan.min(512)
-        };
-        gain.max_chain = gain.max_chain.min(12);
-        gain.passes = gain.passes.min(4);
-        gain.adjacent_only = true;
-    }
+        GainConfig {
+            passes: 4,
+            max_chain: 12,
+            max_scan: 512,
+            adjacent_only: true,
+        }
+    } else {
+        GainConfig::default()
+    };
     kl_refine_gains(g, arch, cfg.memory_mode, seed, &gain, search)
 }
 

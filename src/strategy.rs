@@ -38,7 +38,7 @@ use scoped_threadpool::scoped_map;
 use sparcs_core::list::partition_list_memory_aware;
 use sparcs_core::model::DelayMode;
 use sparcs_core::partitioning::{MemoryMode, Partitioning};
-use sparcs_core::refine::{anneal_refine, kl_refine, kl_refine_gains, AnnealSchedule, GainConfig};
+use sparcs_core::refine::{anneal_refine, kl_refine, kl_refine_gains, GainConfig};
 use sparcs_core::search::SearchCtx;
 use sparcs_core::{PartitionOptions, PartitionedDesign};
 use sparcs_multilevel::{partition_multilevel, MultilevelConfig};
@@ -53,8 +53,9 @@ pub trait Refinement: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Full rendering of the pass's configuration, for cache keys. Every
-    /// field that influences the result must appear (RNG seeds and
-    /// temperature schedules included), so equal keys mean equal outputs.
+    /// field that influences the result must appear, so equal keys mean
+    /// equal outputs; what a pass fixes as a constant (the annealer's RNG
+    /// seed and schedule, the round and chain limits) needs no place.
     fn config_key(&self) -> String;
 
     /// Improves `seed` for the context's graph and architecture.
@@ -86,25 +87,10 @@ pub trait Refinement: Send + Sync {
 /// search then walks *through* zero-gain plateaus via tentative move
 /// sequences with best-prefix commit — the fix for the `kl_gap_closed ≈ 0`
 /// plateau the DCT packing exposed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct KlRefiner {
-    /// Maximum steepest-descent rounds (each applies the single best
-    /// improving move or swap).
-    pub max_rounds: usize,
-    /// Gain-sequence knobs (chain length, scan caps).
-    pub gain_config: GainConfig,
     /// Memory mode used when checking candidate feasibility.
     pub memory_mode: MemoryMode,
-}
-
-impl Default for KlRefiner {
-    fn default() -> Self {
-        KlRefiner {
-            max_rounds: 64,
-            gain_config: GainConfig::default(),
-            memory_mode: MemoryMode::Net,
-        }
-    }
 }
 
 impl Refinement for KlRefiner {
@@ -122,20 +108,13 @@ impl Refinement for KlRefiner {
         ctx: &DesignContext,
         search: &SearchCtx,
     ) -> Result<Partitioning, FlowError> {
-        let descended = kl_refine(
-            &ctx.graph,
-            &ctx.arch,
-            self.memory_mode,
-            seed,
-            self.max_rounds,
-            search,
-        )?;
+        let descended = kl_refine(&ctx.graph, &ctx.arch, self.memory_mode, seed, search)?;
         Ok(kl_refine_gains(
             &ctx.graph,
             &ctx.arch,
             self.memory_mode,
             &descended,
-            &self.gain_config,
+            &GainConfig::default(),
             search,
         )?)
     }
@@ -151,8 +130,6 @@ impl Refinement for KlRefiner {
 /// infeasible) states, best-prefix commit. Spec name `fm`.
 #[derive(Debug, Clone, Default)]
 pub struct GainRefiner {
-    /// Chain length, pass count and scan caps.
-    pub config: GainConfig,
     /// Memory mode used when checking candidate feasibility.
     pub memory_mode: MemoryMode,
 }
@@ -177,7 +154,7 @@ impl Refinement for GainRefiner {
             &ctx.arch,
             self.memory_mode,
             seed,
-            &self.config,
+            &GainConfig::default(),
             search,
         )?)
     }
@@ -189,12 +166,9 @@ impl Refinement for GainRefiner {
 
 /// The simulated-annealing refinement pass
 /// ([`sparcs_core::refine::anneal_refine`]) behind the [`Refinement`]
-/// trait. Deterministic for a fixed [`AnnealSchedule`] (seeded RNG), and
-/// the schedule is part of the config key so caching stays sound.
+/// trait. Deterministic: the RNG seed and the cooling schedule are fixed.
 #[derive(Debug, Clone, Default)]
 pub struct AnnealRefiner {
-    /// Temperature schedule and RNG seed.
-    pub schedule: AnnealSchedule,
     /// Memory mode used when checking candidate feasibility.
     pub memory_mode: MemoryMode,
 }
@@ -219,7 +193,6 @@ impl Refinement for AnnealRefiner {
             &ctx.arch,
             self.memory_mode,
             seed,
-            &self.schedule,
             search,
         )?)
     }
@@ -364,7 +337,7 @@ impl PartitionStrategy for MemoryAwareListStrategy {
 /// name `multilevel`.
 #[derive(Debug, Clone, Default)]
 pub struct MultilevelStrategy {
-    /// Coarsening, refinement and exactness-gate knobs.
+    /// Coarsening knobs and the memory mode.
     pub config: MultilevelConfig,
     /// Options for the coarsest-level exact solve (budgets, memory mode,
     /// warm starts). `options.model.memory_mode` should agree with
@@ -502,17 +475,11 @@ impl Portfolio {
             PortfolioEntry::decisive(Box::new(IlpStrategy::with_options(options.clone()))),
             PortfolioEntry::racer(Box::new(Seeded::new(
                 Box::new(ListStrategy::new()),
-                vec![Box::new(KlRefiner {
-                    memory_mode,
-                    ..KlRefiner::default()
-                })],
+                vec![Box::new(KlRefiner { memory_mode })],
             ))),
             PortfolioEntry::racer(Box::new(Seeded::new(
                 Box::new(ListStrategy::new()),
-                vec![Box::new(AnnealRefiner {
-                    memory_mode,
-                    ..AnnealRefiner::default()
-                })],
+                vec![Box::new(AnnealRefiner { memory_mode })],
             ))),
             PortfolioEntry::racer(Box::new(MultilevelStrategy::with_options(options))),
         ]);
@@ -636,18 +603,9 @@ pub fn parse_spec(
     let mut passes: Vec<Box<dyn Refinement>> = Vec::new();
     for pass in parts {
         passes.push(match pass {
-            "kl" => Box::new(KlRefiner {
-                memory_mode,
-                ..KlRefiner::default()
-            }) as Box<dyn Refinement>,
-            "anneal" => Box::new(AnnealRefiner {
-                memory_mode,
-                ..AnnealRefiner::default()
-            }),
-            "fm" => Box::new(GainRefiner {
-                memory_mode,
-                ..GainRefiner::default()
-            }),
+            "kl" => Box::new(KlRefiner { memory_mode }) as Box<dyn Refinement>,
+            "anneal" => Box::new(AnnealRefiner { memory_mode }),
+            "fm" => Box::new(GainRefiner { memory_mode }),
             other => {
                 return Err(FlowError::Spec(format!(
                     "unknown refinement pass {other:?} in spec {spec:?} \

@@ -134,11 +134,11 @@ fn widened_dct_explore_statically_prunes_only_infeasible_caps() {
     let exploration = session.explore(&space).expect("the cap-4 half is feasible");
 
     assert!(
-        exploration.coverage.skipped_static >= 1,
+        exploration.coverage.skipped_static() >= 1,
         "the cap-2 spec must be pruned statically: {:?}",
         exploration.coverage
     );
-    assert_eq!(exploration.coverage.skipped_infeasible, 0);
+    assert_eq!(exploration.coverage.skipped_infeasible(), 0);
     let static_rules: Vec<_> = exploration
         .coverage
         .skips
