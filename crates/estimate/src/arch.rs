@@ -80,8 +80,9 @@ impl Architecture {
         }
     }
 
-    /// Returns a copy with a different memory size (used by the memory
-    /// ablation sweeps).
+    /// Returns a copy with a different memory size. Only tests and the
+    /// `sparcs_core` crate example call it, to try a design against a
+    /// smaller or larger memory than the preset's.
     pub fn with_memory_words(&self, words: u64) -> Self {
         Architecture {
             memory_words: words,

@@ -24,7 +24,7 @@
 //! |---|---|---|
 //! | `journal.append.pre`  | before a record is written        | crash, delay, error |
 //! | `journal.append.mid`  | half the record written + synced  | crash |
-//! | `journal.append.post` | record fully written + fsynced    | crash, delay |
+//! | `journal.append.post` | record fully written; fsynced unless a claim or progress note | crash, delay |
 //! | `store.load.pre`      | before a result-store read        | crash, delay, error |
 //! | `store.publish.pre`   | before a result-store write       | crash, delay, error |
 //! | `store.publish.mid`   | temp file written, not yet renamed| crash |
@@ -34,8 +34,11 @@
 //! | `proto.reply`         | response computed, not yet written| drop, crash, delay |
 //!
 //! Crashes use [`std::process::abort`]: no unwinding, no `Drop`, no atexit
-//! — the on-disk state is exactly what was fsynced, which is the contract
-//! `kill -9` tests need. Hit counters are process-global, so `@n` is
+//! — the shape of `kill -9`, and like it an abort keeps every byte already
+//! written, fsynced or not: the page cache holds it, and it reaches the
+//! disk anyway. Only an OS crash or power loss could also drop the journal's
+//! unsynced tail (see [`crate::journal`]); no fault here simulates that.
+//! Hit counters are process-global, so `@n` is
 //! deterministic for a single-worker daemon and approximately ordered for
 //! many workers.
 

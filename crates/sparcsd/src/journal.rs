@@ -1,10 +1,26 @@
-//! The persistent job journal: append-only, checksummed, fsync'd JSONL.
+//! The persistent job journal: append-only, checksummed JSONL.
 //!
 //! Every state transition of the job graph — submit, claim, progress,
 //! requeue, done, failed, cancelled — is one [`Event`], serialized as one
-//! line and fsynced before the daemon acts on it. On startup the journal
+//! line and written before the daemon acts on it. On startup the journal
 //! is replayed to rebuild the job graph, so `kill -9` at any instant loses
 //! nothing that was acknowledged.
+//!
+//! ## Durability: which records are fsynced
+//!
+//! [`Journal::append`] fsyncs its record before returning;
+//! [`Journal::append_unsynced`] only writes it. The daemon fsyncs every
+//! record a client or a later decision relies on — `Submitted` (before
+//! the ack), `Done`, `Failed`, `Requeued`, `Cancelled` — and writes a
+//! job's `Claimed` and `Progress` without one:
+//!
+//! - a process crash (`abort`, `kill -9`) loses no written byte: it sits
+//!   in the page cache and reaches the disk anyway;
+//! - the job's next fsynced record flushes them, because `sync_data`
+//!   flushes the whole file;
+//! - an OS crash or power loss can therefore lose only an unsynced claim
+//!   or progress tail, and replay then requeues the job from its
+//!   `Submitted`, one attempt earlier.
 //!
 //! ## Record format
 //!
@@ -30,8 +46,8 @@
 //! Stopping (rather than skipping and continuing) is deliberate: events
 //! are causally ordered — applying a `Done` whose `Claimed` was corrupted
 //! would fabricate history. Everything after the first invalid record is
-//! unacknowledged by construction (appends are fsynced before the daemon
-//! replies or acts), so truncation never discards an acknowledged fact.
+//! unacknowledged by construction (a submit is fsynced before the daemon
+//! replies), so truncation never discards an acknowledged fact.
 
 use crate::faults;
 use crate::hash::fnv64;
@@ -139,7 +155,9 @@ fn crc_of(seq: u64, event_json: &str) -> String {
     )
 }
 
-/// Renders one journal line (with trailing newline).
+/// Renders one journal line (with trailing newline). The event is
+/// serialized once and framed by hand, byte for byte as serializing a
+/// [`Record`] would frame it, so journals written either way replay alike.
 fn encode(seq: u64, event: &Event) -> io::Result<String> {
     let event_json = serde_json::to_string(event).map_err(|e| {
         io::Error::new(
@@ -147,19 +165,10 @@ fn encode(seq: u64, event: &Event) -> io::Result<String> {
             format!("unencodable event: {e}"),
         )
     })?;
-    let record = Record {
-        seq,
-        crc: crc_of(seq, &event_json),
-        event: event.clone(),
-    };
-    let mut line = serde_json::to_string(&record).map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unencodable record: {e}"),
-        )
-    })?;
-    line.push('\n');
-    Ok(line)
+    let crc = crc_of(seq, &event_json);
+    Ok(format!(
+        "{{\"seq\":{seq},\"crc\":\"{crc}\",\"event\":{event_json}}}\n"
+    ))
 }
 
 /// What a replay recovered.
@@ -215,6 +224,8 @@ pub struct Journal {
     file: File,
     path: PathBuf,
     next_seq: u64,
+    /// Fsynced appends since this journal was opened.
+    syncs: u64,
 }
 
 impl Journal {
@@ -251,6 +262,7 @@ impl Journal {
             file,
             path,
             next_seq: events.len() as u64,
+            syncs: 0,
         };
         Ok((
             journal,
@@ -276,6 +288,11 @@ impl Journal {
         self.next_seq == 0
     }
 
+    /// Fsynced appends since this journal was opened.
+    pub fn syncs(&self) -> u64 {
+        self.syncs
+    }
+
     /// Appends one event durably: the record is written and fsynced before
     /// this returns. Fault points: `journal.append.pre` (I/O),
     /// `journal.append.mid` (crash with half the record on disk — the torn
@@ -286,19 +303,45 @@ impl Journal {
     ///
     /// Any I/O failure; the caller must treat the event as not recorded.
     pub fn append(&mut self, event: &Event) -> io::Result<()> {
+        self.write(event, true)
+    }
+
+    /// Appends one event without an fsync: the record survives any crash
+    /// of this process, and the next [`Self::append`] makes it durable
+    /// against power loss too (see the module docs for which events may
+    /// take this path). Same fault points as [`Self::append`];
+    /// `journal.append.post` then fires with the record written, unsynced.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O failure; the caller must treat the event as not recorded.
+    pub fn append_unsynced(&mut self, event: &Event) -> io::Result<()> {
+        self.write(event, false)
+    }
+
+    fn write(&mut self, event: &Event, sync: bool) -> io::Result<()> {
         faults::io_point("journal.append.pre")?;
         let line = encode(self.next_seq, event)?;
         if faults::crash_armed("journal.append.mid") {
             // Torn write: half the record reaches the disk, then the
             // process dies without cleanup. Recovery must drop this tail.
             let half = &line.as_bytes()[..line.len() / 2];
+            // durable-ok: an injected torn record, written only to be cut
+            // off by the next replay; the process aborts right after.
             let _ = self.file.write_all(half);
             let _ = self.file.sync_data();
             eprintln!("sparcsd: injected crash at journal.append.mid");
             std::process::abort();
         }
+        // durable-ok: the record is fsynced below; an unsynced one (a
+        // claim or a progress note) is flushed by its job's next fsynced
+        // record — `Done`, `Failed` or `Requeued` — and a process crash
+        // before that keeps the written bytes.
         self.file.write_all(line.as_bytes())?;
-        self.file.sync_data()?;
+        if sync {
+            self.file.sync_data()?;
+            self.syncs += 1;
+        }
         self.next_seq += 1;
         faults::crash_point("journal.append.post");
         Ok(())
@@ -332,15 +375,73 @@ mod tests {
             assert!(replay.events.is_empty());
             assert!(j.is_empty());
             for i in 0..5 {
-                j.append(&ev(i)).expect("appends");
+                if i % 2 == 0 {
+                    j.append(&ev(i)).expect("appends");
+                } else {
+                    j.append_unsynced(&ev(i)).expect("appends unsynced");
+                }
             }
-            assert_eq!(j.len(), 5);
+            assert_eq!((j.len(), j.syncs()), (5, 3));
         }
         let (j, replay) = Journal::open(&path).expect("reopens");
         assert_eq!(replay.events, (0..5).map(ev).collect::<Vec<_>>());
         assert_eq!(replay.truncated_bytes, 0);
-        assert_eq!(j.len(), 5);
+        assert_eq!((j.len(), j.syncs()), (5, 0));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn hand_framed_records_match_the_record_serialization() {
+        let spec = JobSpec {
+            budget_ms: Some(250),
+            ..JobSpec::new("graph g\ntask \"a\" clbs=1 delay=1 out=1 kind=P1 # Δ\t\u{1}\n")
+        };
+        let result = ResultSummary {
+            strategy: "list+kl".into(),
+            assignment: vec![0, 1, 1],
+            partitions: 2,
+            partition_delays_ns: vec![40, 60],
+            sum_delay_ns: 100,
+            latency_ns: 200_000_100,
+            bound_ns: 200_000_000,
+            proven_optimal: false,
+            cancelled: true,
+        };
+        let events = [
+            Event::Submitted { job: 0, spec },
+            Event::Claimed {
+                job: 1,
+                worker: "worker-0".into(),
+                attempt: 2,
+                lease_ms: 60_000,
+            },
+            ev(2),
+            Event::Requeued {
+                job: 3,
+                attempt: 1,
+                backoff_ms: 100,
+                reason: "with \"quotes\" and back\\slash".into(),
+            },
+            Event::Done { job: 4, result },
+            Event::Failed {
+                job: 5,
+                reason: "newline\nand unicode 𝛑".into(),
+            },
+            Event::Cancelled { job: u64::MAX },
+        ];
+        for (i, event) in events.iter().enumerate() {
+            for seq in [i as u64, 1 << 40, u64::MAX] {
+                let event_json = serde_json::to_string(event).expect("encodes");
+                let record = Record {
+                    seq,
+                    crc: crc_of(seq, &event_json),
+                    event: event.clone(),
+                };
+                let mut expected = serde_json::to_string(&record).expect("encodes");
+                expected.push('\n');
+                assert_eq!(encode(seq, event).expect("encodes"), expected);
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! so that *nothing acknowledged is ever lost* and *nothing served is
 //! ever uncertified*:
 //!
-//! - [`journal`] — an append-only, checksummed, fsync'd event log; the
-//!   job graph is replayed from its longest valid prefix on startup, so a
-//!   `kill -9` at any instant loses at most the unacknowledged tail.
+//! - [`journal`] — an append-only, checksummed event log, fsynced at
+//!   every record a client or a later decision relies on; the job graph
+//!   is replayed from its longest valid prefix on startup, so a `kill -9`
+//!   at any instant loses at most the unacknowledged tail.
 //! - [`graph`] — the in-memory job state machine (queued → claimed →
 //!   done/failed/cancelled) with lease-based orphan recovery and
 //!   exponential-backoff retry.

@@ -5,9 +5,12 @@
 //!
 //! One [`run`] call owns everything: the replayed [`JobGraph`] + its
 //! [`Journal`] behind one mutex (every mutation is journal-append *then*
-//! in-memory apply, so memory is always a pure function of the durable
+//! in-memory apply, so memory is always a pure function of the journaled
 //! prefix), a pool of worker threads claiming jobs under that lock, and a
 //! blocking accept loop handing each connection to a scoped thread.
+//! A job's claim and progress records are appended without an fsync;
+//! every other record is fsynced before the daemon acts on it (the rule
+//! and why it holds are in [`crate::journal`]).
 //! One condvar wakes both workers (new/requeued jobs) and clients blocked
 //! in `Result { wait_ms }`. Every event that makes a job claimable or
 //! settled is applied under the state lock, and waiters check and wait on
@@ -22,6 +25,11 @@
 //! `not-done`; only in-flight solves are waited for.
 //!
 //! ## Serving tiers
+//!
+//! `submit` parses and validates each spec once, before admitting it, and
+//! keeps the result for the worker that claims the job. A job with
+//! nothing kept — replayed after a restart, or requeued — parses its
+//! journaled spec again.
 //!
 //! A claimed job is answered from the cheapest tier that can prove its
 //! answer: the in-memory [`PartitionCache`], then the shared disk
@@ -128,10 +136,21 @@ struct State {
 }
 
 impl State {
+    /// Appends `ev` under the per-record rule of [`crate::journal`]: a
+    /// claim or a progress note is written without an fsync, and the
+    /// job's next record (`Done`, `Failed` or `Requeued`, each fsynced)
+    /// flushes it. Every other event is fsynced before this returns.
+    fn append(&mut self, ev: &Event) -> io::Result<()> {
+        match ev {
+            Event::Claimed { .. } | Event::Progress { .. } => self.journal.append_unsynced(ev),
+            _ => self.journal.append(ev),
+        }
+    }
+
     /// Journal-then-apply. On append failure the event is NOT applied —
     /// the caller must treat the transition as never having happened.
     fn record(&mut self, ev: &Event) -> io::Result<()> {
-        self.journal.append(ev)?;
+        self.append(ev)?;
         self.graph.apply(ev, Some(Instant::now()));
         Ok(())
     }
@@ -142,7 +161,7 @@ impl State {
     /// restart simply replays to the pre-event state and re-derives the
     /// same deterministic outcome.
     fn record_lossy(&mut self, ev: &Event) {
-        if let Err(e) = self.journal.append(ev) {
+        if let Err(e) = self.append(ev) {
             eprintln!("sparcsd: journal append failed ({e}); applying in memory only");
         }
         self.graph.apply(ev, Some(Instant::now()));
@@ -163,10 +182,39 @@ struct Shared {
     /// taken after it.
     /// Empty after replay: a restarted daemon owes no ack.
     unacked: Mutex<HashSet<u64>>,
+    /// What `submit` parsed for each admitted job no worker has claimed
+    /// yet; the claiming worker takes it out. Filled and cancelled under
+    /// `state` (taken after it), so it holds only queued jobs and
+    /// `queue_cap` bounds it. Empty after replay.
+    prepared: Mutex<HashMap<u64, Prepared>>,
     cache: PartitionCache,
     store: ResultStore,
     replayed: u64,
     config: Config,
+}
+
+impl Shared {
+    /// Replays the journal under `config.data_dir` and opens the result
+    /// store. Also returns the bytes of torn tail the replay truncated.
+    fn open(config: Config) -> io::Result<(Shared, u64)> {
+        std::fs::create_dir_all(&config.data_dir)?;
+        let (journal, replay) = Journal::open(config.data_dir.join("journal.jsonl"))?;
+        let graph = JobGraph::replay(&replay.events);
+        let store = ResultStore::open(&config.store_dir)?;
+        let shared = Shared {
+            state: Mutex::new(State { graph, journal }),
+            wakeup: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            cancels: Mutex::new(HashMap::new()),
+            unacked: Mutex::new(HashSet::new()),
+            prepared: Mutex::new(HashMap::new()),
+            cache: PartitionCache::new(),
+            store,
+            replayed: replay.events.len() as u64,
+            config,
+        };
+        Ok((shared, replay.truncated_bytes))
+    }
 }
 
 /// Maps an `--arch` wire name to its board preset.
@@ -356,9 +404,11 @@ fn progress(shared: &Shared, job: u64, detail: &str) {
     });
 }
 
-/// Executes one claimed job through the serving tiers.
+/// Executes one claimed job through the serving tiers, on what `submit`
+/// prepared for it, or on its journaled spec when nothing was kept.
 fn execute(shared: &Shared, job: u64, spec: &JobSpec, token: CancelToken) -> Outcome {
-    let prepared = match prepare(spec) {
+    let kept = shared.prepared.lock().expect("prepared lock").remove(&job);
+    let prepared = match kept.map_or_else(|| prepare(spec), Ok) {
         Ok(p) => p,
         Err(msg) => return Outcome::Permanent(msg),
     };
@@ -510,10 +560,26 @@ fn worker_loop(shared: &Shared, index: usize) {
             };
             match next {
                 Some(job) => {
-                    let (spec, attempt) = match st.graph.job(job) {
-                        Some(j) => (j.spec.clone(), j.attempts + 1),
-                        None => continue,
+                    let Some(j) = st.graph.job(job) else {
+                        continue;
                     };
+                    let attempts = j.attempts;
+                    let max = j.max_attempts(shared.config.default_max_attempts);
+                    // Live paths requeue only below the bound, so this is a
+                    // replayed claim: the daemon that made the last attempt
+                    // stopped before finishing it.
+                    if attempts >= max {
+                        st.record_lossy(&Event::Failed {
+                            job,
+                            reason: format!(
+                                "gave up after attempt {attempts}/{max}: \
+                                 the daemon stopped during the last attempt"
+                            ),
+                        });
+                        shared.wakeup.notify_all();
+                        continue;
+                    }
+                    let (spec, attempt) = (j.spec.clone(), attempts + 1);
                     let ev = Event::Claimed {
                         job,
                         worker: name.clone(),
@@ -576,9 +642,10 @@ fn submit(shared: &Shared, spec: JobSpec) -> Response {
             _ => {}
         }
     }
-    if let Err(msg) = prepare(&spec) {
-        return err("bad-spec", msg);
-    }
+    let prepared = match prepare(&spec) {
+        Ok(p) => p,
+        Err(msg) => return err("bad-spec", msg),
+    };
     let mut st = shared.state.lock().expect("state lock");
     let (queued, running, ..) = st.graph.counts();
     if (queued + running) as usize >= shared.config.queue_cap {
@@ -598,6 +665,11 @@ fn submit(shared: &Shared, spec: JobSpec) -> Response {
     match st.record(&Event::Submitted { job, spec }) {
         Ok(()) => {
             shared.unacked.lock().expect("unacked lock").insert(job);
+            shared
+                .prepared
+                .lock()
+                .expect("prepared lock")
+                .insert(job, prepared);
             Response::Submitted { job }
         }
         Err(e) => err("journal", format!("could not journal the submit: {e}")),
@@ -671,6 +743,7 @@ fn cancel(shared: &Shared, job: u64) -> Response {
     match j.phase() {
         JobPhase::Queued => {
             st.record_lossy(&Event::Cancelled { job });
+            shared.prepared.lock().expect("prepared lock").remove(&job);
             drop(st);
             shared.wakeup.notify_all();
             Response::Cancelled {
@@ -704,6 +777,7 @@ fn cancel(shared: &Shared, job: u64) -> Response {
 fn stats(shared: &Shared) -> Response {
     let st = shared.state.lock().expect("state lock");
     let (queued, running, done, failed, cancelled) = st.graph.counts();
+    let journal_syncs = st.journal.syncs();
     drop(st);
     let cache = shared.cache.stats();
     let store = shared.store.stats();
@@ -719,6 +793,7 @@ fn stats(shared: &Shared) -> Response {
             cache_evictions: cache.evictions,
             store_hits: store.hits,
             replayed_events: shared.replayed,
+            journal_syncs,
         },
     }
 }
@@ -822,28 +897,13 @@ fn bind_socket(path: &std::path::Path) -> io::Result<UnixListener> {
 /// Startup failures only (journal/store/socket I/O); serving errors are
 /// per-connection and never take the daemon down.
 pub fn run(config: Config) -> io::Result<()> {
-    std::fs::create_dir_all(&config.data_dir)?;
-    let (journal, replay) = Journal::open(config.data_dir.join("journal.jsonl"))?;
-    let graph = JobGraph::replay(&replay.events);
-    let store = ResultStore::open(&config.store_dir)?;
-    let listener = bind_socket(&config.socket)?;
-    let replayed = replay.events.len() as u64;
-    let shared = Shared {
-        state: Mutex::new(State { graph, journal }),
-        wakeup: Condvar::new(),
-        shutdown: AtomicBool::new(false),
-        cancels: Mutex::new(HashMap::new()),
-        unacked: Mutex::new(HashSet::new()),
-        cache: PartitionCache::new(),
-        store,
-        replayed,
-        config,
-    };
+    let (shared, truncated_bytes) = Shared::open(config)?;
+    let listener = bind_socket(&shared.config.socket)?;
     println!(
         "sparcsd: listening on {} ({} event(s) replayed, {} byte(s) of torn tail truncated)",
         shared.config.socket.display(),
-        replayed,
-        replay.truncated_bytes,
+        shared.replayed,
+        truncated_bytes,
     );
     let _ = io::stdout().flush();
     let shared = &shared;
@@ -975,6 +1035,53 @@ mod tests {
             recertify(&prepared, &lie).is_none(),
             "a tampered latency is a miss, never served"
         );
+    }
+
+    #[test]
+    fn submit_hands_its_parse_to_the_claiming_worker() {
+        let root =
+            std::env::temp_dir().join(format!("sparcsd-server-{}-handoff", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let config = Config::new(root.join("sock"), root.join("data"), root.join("store"));
+        let (shared, _) = Shared::open(config).expect("opens");
+        let fig4 = JobSpec::new(sparcs::dfg::parse::to_text(
+            &sparcs::dfg::gen::fig4_example(),
+        ));
+        let kept = |shared: &Shared| shared.prepared.lock().expect("prepared lock").len();
+
+        let Response::Submitted { job } = submit(&shared, fig4.clone()) else {
+            panic!("fig4 is admitted");
+        };
+        assert_eq!(kept(&shared), 1, "submit keeps what it parsed");
+        // The worker runs on that parse: it never reads the spec it is
+        // handed, so one it could not parse does not matter.
+        let unparsable = JobSpec::new("not a graph");
+        assert!(matches!(
+            execute(&shared, job, &unparsable, CancelToken::new()),
+            Outcome::Served(_)
+        ));
+        assert_eq!(kept(&shared), 0, "the claim took it");
+        // With nothing kept (a replayed or requeued job) the spec is parsed.
+        assert!(matches!(
+            execute(&shared, job, &unparsable, CancelToken::new()),
+            Outcome::Permanent(msg) if msg.starts_with("bad graph")
+        ));
+
+        // Cancelling a queued job drops what was kept for it.
+        let Response::Submitted { job } = submit(&shared, fig4) else {
+            panic!("fig4 is admitted");
+        };
+        assert_eq!(kept(&shared), 1);
+        assert!(matches!(
+            cancel(&shared, job),
+            Response::Cancelled {
+                phase: JobPhase::Cancelled,
+                ..
+            }
+        ));
+        assert_eq!(kept(&shared), 0);
+        drop(shared);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

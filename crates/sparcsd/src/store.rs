@@ -161,6 +161,8 @@ impl ResultStore {
             // durable-ok: this is the fsync'd append path itself — the temp
             // file is synced below and then atomically renamed into place.
             let mut f = File::create(&tmp)?;
+            // durable-ok: the temp file's bytes, synced on the next line;
+            // readers never see the file before the rename.
             f.write_all(text.as_bytes())?;
             f.sync_all()?;
         }

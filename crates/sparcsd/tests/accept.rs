@@ -5,7 +5,8 @@
 //! every wait for `run` to return polls `JoinHandle::is_finished` against
 //! a deadline: the test fails instead of hanging.
 
-use sparcs::service::{Client, Request, Response};
+use sparcs::dfg::{gen, parse};
+use sparcs::service::{Client, JobSpec, Request, Response, ResultSummary, ServiceStats};
 use sparcsd::server::{self, Config};
 use std::io;
 use std::path::PathBuf;
@@ -115,4 +116,45 @@ fn shutdown_of_an_idle_daemon_returns_and_removes_the_socket() {
         t.elapsed()
     );
     let _ = std::fs::remove_dir_all(root);
+}
+
+/// A fresh solve and a cached answer each fsync the journal twice: the
+/// submit, before its ack, and the done. The claim and the progress note
+/// in between are written without an fsync.
+#[test]
+fn a_served_answer_fsyncs_the_journal_twice() {
+    let daemon = Daemon::start("syncs");
+    let client = daemon.client();
+    let spec = JobSpec::new(parse::to_text(&gen::fig4_example()));
+    let stats = || -> ServiceStats {
+        match client.request(&Request::Stats) {
+            Ok(Response::Stats { stats }) => stats,
+            other => panic!("unexpected stats reply: {other:?}"),
+        }
+    };
+    let serve = || -> ResultSummary {
+        let job = client.submit(spec.clone()).expect("submit acked");
+        match client.request(&Request::Result {
+            job,
+            wait_ms: Some(60_000),
+        }) {
+            Ok(Response::Result { result, .. }) => result,
+            other => panic!("job {job} did not complete: {other:?}"),
+        }
+    };
+
+    let start = stats();
+    assert_eq!(start.journal_syncs, 0, "a fresh daemon has fsynced nothing");
+    let solved = serve();
+    let after_solve = stats();
+    let cached = serve();
+    let after_hit = stats();
+    let root = daemon.shut_down(Duration::from_secs(5));
+    let _ = std::fs::remove_dir_all(root);
+
+    assert_eq!(after_solve.journal_syncs, 2, "a fresh solve");
+    assert_eq!(after_solve.cache_hits, 0);
+    assert_eq!(after_hit.journal_syncs - after_solve.journal_syncs, 2);
+    assert_eq!(after_hit.cache_hits, 1, "the resubmit is a cache hit");
+    assert_eq!(cached, solved);
 }

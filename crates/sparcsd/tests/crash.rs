@@ -11,6 +11,7 @@
 use sparcs::dfg::gen::{self, LayeredConfig};
 use sparcs::dfg::parse;
 use sparcs::service::{Client, JobPhase, JobSpec, Request, Response, ResultSummary, ServiceStats};
+use sparcsd::graph::DEFAULT_MAX_ATTEMPTS;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -142,11 +143,12 @@ fn baseline(root: &Path, spec: &JobSpec) -> ResultSummary {
 #[test]
 fn crash_matrix_recovers_every_acked_job_with_identical_results() {
     // With one worker and one job the append sequence is deterministic:
-    // append 1 = the submit (acked), append 2 = the claim. Reply 1 is
-    // `wait_ready`'s stats, reply 2 the submit's ack.
+    // append 1 = the submit (acked, fsynced), append 2 = the claim
+    // (written without an fsync). Reply 1 is `wait_ready`'s stats, reply 2
+    // the submit's ack.
     let cases = [
         "journal.append.mid=crash@2",  // claim torn mid-record
-        "journal.append.post=crash@2", // claim durable, then death
+        "journal.append.post=crash@2", // claim written, unsynced, then death
         "worker.claim.post=crash",     // claimed, solve never started
         "worker.solve.post=crash",     // solved, result never journaled
         "store.publish.mid=crash",     // result temp written, not renamed
@@ -184,6 +186,104 @@ fn crash_matrix_recovers_every_acked_job_with_identical_results() {
         shutdown(&client, &mut revived);
         let _ = std::fs::remove_dir_all(&root);
     }
+}
+
+/// The crash matrix on the memory-tier path: two identical submits on one
+/// worker, the second answered from the in-memory cache, killed at three
+/// points of that answer. The restarted daemon's memory tier is empty, so
+/// a second job that was not done is answered from the disk store; one
+/// whose `Done` was journaled is answered from the journal. Either way the
+/// answer is bit-identical to the first job's.
+#[test]
+fn crashes_on_the_memory_tier_path_recover_with_identical_results() {
+    // Appends with one worker: 1-4 are the first job's submit, claim,
+    // progress note ("solving") and done; 5-8 are the second job's.
+    let cases = [
+        ("journal.append.post=crash@6", 1), // unsynced claim written, then death
+        ("journal.append.mid=crash@7", 1),  // progress note torn mid-record
+        ("journal.append.post=crash@8", 0), // done fsynced, then death
+    ];
+    let spec = JobSpec::new(fig4_text());
+    for (faults, store_hits) in cases {
+        let root = fresh_root(&format!("memory-{}", faults.replace(['.', '=', '@'], "-")));
+        let (mut crashed, client) = spawn_daemon(&root, "victim", "store", Some(faults), &[]);
+        wait_ready(&client);
+        let first = client.submit(spec.clone()).expect("first submit acked");
+        let expected = result_of(&client, first);
+        let second = client
+            .submit(spec.clone())
+            .expect("second submit is acked before the crash");
+        wait_crashed(&mut crashed);
+
+        let (mut revived, client) = spawn_daemon(&root, "victim", "store", None, &[]);
+        wait_ready(&client);
+        assert_eq!(
+            result_of(&client, second),
+            expected,
+            "{faults}: the second job must recover bit-identical to the first"
+        );
+        assert_eq!(result_of(&client, first), expected, "{faults}");
+        let stats = stats_of(&client);
+        assert_eq!(
+            (stats.queued, stats.running),
+            (0, 0),
+            "{faults}: no stuck claims after recovery"
+        );
+        assert_eq!(
+            (stats.store_hits, stats.cache_hits),
+            (store_hits, 0),
+            "{faults}: the answer's source after the restart"
+        );
+        shutdown(&client, &mut revived);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+/// A job that kills the daemon on every attempt stops being retried at
+/// its attempt bound: the next start journals it `Failed` instead of
+/// claiming it, stays up with the fault still armed, and `Result` answers
+/// `failed`, naming the bound.
+#[test]
+fn a_job_that_crashes_every_attempt_fails_at_its_bound() {
+    let root = fresh_root("attempt-bound");
+    let faults = Some("worker.claim.post=crash");
+    let (mut victim, client) = spawn_daemon(&root, "victim", "store", faults, &[]);
+    wait_ready(&client);
+    let job = client
+        .submit(JobSpec::new(fig4_text()))
+        .expect("submit acked");
+    wait_crashed(&mut victim);
+    // Each restart claims the replayed job at once and dies in the claim.
+    for _ in 1..DEFAULT_MAX_ATTEMPTS {
+        let (mut victim, _) = spawn_daemon(&root, "victim", "store", faults, &[]);
+        wait_crashed(&mut victim);
+    }
+
+    let (mut survivor, client) = spawn_daemon(&root, "victim", "store", faults, &[]);
+    wait_ready(&client);
+    let bound = format!("{DEFAULT_MAX_ATTEMPTS}/{DEFAULT_MAX_ATTEMPTS}");
+    match client.request(&Request::Result {
+        job,
+        wait_ms: Some(60_000),
+    }) {
+        Ok(Response::Error { code, message }) => {
+            assert_eq!(code, "failed", "{message}");
+            assert!(message.contains(&bound), "{message}");
+        }
+        other => panic!("the job must fail at its bound: {other:?}"),
+    }
+    let stats = stats_of(&client);
+    assert_eq!(
+        (stats.queued, stats.running, stats.failed),
+        (0, 0, 1),
+        "the job is failed, not claimed"
+    );
+    assert!(
+        survivor.try_wait().expect("try_wait").is_none(),
+        "the daemon stays up"
+    );
+    shutdown(&client, &mut survivor);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A real `SIGKILL` (not an injected abort) at an arbitrary instant: the

@@ -20,11 +20,11 @@
 //!    between index and float domains constantly, where a silent
 //!    truncation would corrupt a basis or a DMA length, not crash.
 //! 5. **Fsync'd writes in the durable tiers** — in the daemon's journal
-//!    and result-store modules, a bare `fs::write(` or `File::create(`
-//!    bypasses the checksummed, fsynced, atomically-renamed append path
-//!    that crash recovery depends on; each needs a `// durable-ok:`
-//!    comment proving the write still reaches the disk before anything
-//!    depends on it.
+//!    and result-store modules, a bare `fs::write(`, `File::create(` or
+//!    `.write_all(` may bypass the checksummed, fsynced,
+//!    atomically-renamed append path that crash recovery depends on; each
+//!    needs a `// durable-ok:` comment proving the write still reaches the
+//!    disk before anything depends on it.
 //! 6. **No environment knobs in library code** — only the daemon's
 //!    fault-injection harness (`crates/sparcsd/src/faults.rs`) may call
 //!    `env::var`. Every other setting is an argument or is derived from
@@ -184,9 +184,10 @@ const CAST_JUSTIFY: &[&str] = &[
 ];
 
 /// Files implementing the daemon's durable tiers, where every file write
-/// must go through the fsync'd append/publish path: a bare `fs::write(`
-/// or `File::create(` needs a `// durable-ok:` justification saying why
-/// the bytes are still guaranteed durable (or provably disposable).
+/// must go through the fsync'd append/publish path: a bare `fs::write(`,
+/// `File::create(` or `.write_all(` needs a `// durable-ok:`
+/// justification saying why the bytes are still guaranteed durable (or
+/// provably disposable).
 const DURABLE_STORE: &[&str] = &[
     "crates/sparcsd/src/journal.rs",
     "crates/sparcsd/src/store.rs",
@@ -357,7 +358,9 @@ fn lint_file(rel: &Path, text: &str, findings: &mut Vec<Finding>) {
                 });
             }
             if durable_store
-                && (code.contains("fs::write(") || code.contains("File::create("))
+                && (code.contains("fs::write(")
+                    || code.contains("File::create(")
+                    || code.contains(".write_all("))
                 && !raw.contains("durable-ok:")
                 && !prev_raw.contains("durable-ok:")
                 && !durable_ok_pending
@@ -366,8 +369,9 @@ fn lint_file(rel: &Path, text: &str, findings: &mut Vec<Finding>) {
                     file: rel.to_path_buf(),
                     line: line_no,
                     rule: "durable-store-write",
-                    message: "bare `fs::write`/`File::create` in a durable-store module; \
-                              use the fsync'd append path or justify with `// durable-ok:`"
+                    message: "bare `fs::write`/`File::create`/`.write_all` in a durable-store \
+                              module; use the fsync'd append path or justify with \
+                              `// durable-ok:`"
                         .to_string(),
                 });
             }
@@ -560,6 +564,15 @@ mod tests {
             rules_of("crates/sparcsd/src/journal.rs", create),
             vec![("durable-store-write", 1)]
         );
+        // A write into a handle opened elsewhere counts too.
+        let write_all = "fn f(&mut self) {\n    self.file.write_all(line.as_bytes())?;\n}\n";
+        assert_eq!(
+            rules_of("crates/sparcsd/src/journal.rs", write_all),
+            vec![("durable-store-write", 2)]
+        );
+        assert_eq!(rules_of("crates/sparcsd/src/server.rs", write_all), vec![]);
+        let justified = "fn f(&mut self) {\n    // durable-ok: fsynced on the next line\n    self.file.write_all(line.as_bytes())?;\n}\n";
+        assert_eq!(rules_of("crates/sparcsd/src/journal.rs", justified), vec![]);
         // Outside the durable tiers the same calls are fine.
         assert_eq!(rules_of("crates/sparcsd/src/server.rs", bare), vec![]);
         assert_eq!(rules_of("src/flow.rs", create), vec![]);

@@ -935,8 +935,8 @@ fn render(response: Response) -> Result<(), CliError> {
                 stats.cache_hits, stats.cache_misses, stats.cache_evictions, stats.store_hits
             );
             println!(
-                "journal: {} event(s) replayed at startup",
-                stats.replayed_events
+                "journal: {} event(s) replayed at startup, {} fsynced append(s) since",
+                stats.replayed_events, stats.journal_syncs
             );
         }
         Response::Ok => println!("ok"),

@@ -259,6 +259,8 @@ pub struct ServiceStats {
     pub store_hits: u64,
     /// Journal events replayed at the last startup.
     pub replayed_events: u64,
+    /// Fsynced journal appends since the last startup.
+    pub journal_syncs: u64,
 }
 
 /// A client-side failure talking to the daemon.
